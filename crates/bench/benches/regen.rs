@@ -1,5 +1,6 @@
 //! Regeneration-pass cost: the pairwise NCD matrix with and without
-//! resumable compressor state, and the full `regeneration_pass` at
+//! resumable compressor state, the signatures stage (token extraction and
+//! emission over a fixed dendrogram), and the full `regeneration_pass` at
 //! rising sample sizes. `scripts/bench.sh` runs these groups and writes
 //! the `BENCH_regen.json` baseline from their `CRITERION_JSON` output.
 //!
@@ -14,11 +15,12 @@
 //! Scale knob (smoke mode shrinks it):
 //!
 //! * `LEAKSIG_BENCH_REGEN_SIZES` — comma-separated sample sizes
-//!   (default `500,1000,2000`; the naive matrix runs at the smallest
-//!   size only, everything else at every size)
+//!   (default `500,1000,2000`; the naive matrix and the signatures stage
+//!   run at the smallest size only, everything else at every size)
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use leaksig_core::matrix::{pairwise, pairwise_naive};
+use leaksig_core::pipeline::signatures_from_dendrogram;
 use leaksig_core::prelude::*;
 use leaksig_http::HttpPacket;
 use leaksig_netsim::{Dataset, MarketConfig};
@@ -84,6 +86,33 @@ fn bench_matrix(c: &mut Criterion) {
     g.finish();
 }
 
+/// The signatures stage alone: the dendrogram is built once, outside the
+/// timed loop, and each iteration extracts every selected node's tokens
+/// and emits the deduplicated set under the default configuration.
+fn bench_signatures(c: &mut Criterion) {
+    let n = *sizes().iter().min().expect("at least one size");
+    let data = Dataset::generate(MarketConfig::scaled(77, 0.12));
+    let config = PipelineConfig::default();
+    let dist: PacketDistance = PacketDistance::default();
+    let sample = traffic(&data, true, n);
+    let feats: Vec<_> = sample.iter().map(|p| dist.features(p)).collect();
+    let dendrogram = agglomerate(&pairwise(&dist, &feats));
+    let emit =
+        || signatures_from_dendrogram(&sample, &dendrogram, config.selection, &config.signature);
+    assert!(
+        !emit().is_empty(),
+        "signatures stage at n={n} emitted nothing"
+    );
+
+    let mut g = c.benchmark_group("regen");
+    g.sample_size(3);
+    g.throughput(Throughput::Elements(n as u64));
+    g.bench_function(&format!("signatures_{n}pkts"), |b| {
+        b.iter(|| black_box(emit()))
+    });
+    g.finish();
+}
+
 fn bench_regeneration_pass(c: &mut Criterion) {
     let data = Dataset::generate(MarketConfig::scaled(77, 0.12));
     let config = PipelineConfig::default();
@@ -105,5 +134,10 @@ fn bench_regeneration_pass(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_matrix, bench_regeneration_pass);
+criterion_group!(
+    benches,
+    bench_matrix,
+    bench_signatures,
+    bench_regeneration_pass
+);
 criterion_main!(benches);

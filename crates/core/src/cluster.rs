@@ -97,6 +97,15 @@ impl Dendrogram {
     /// whose merge distance is ≤ `threshold`. Returns leaf partitions,
     /// largest first.
     pub fn cut(&self, threshold: f64) -> Vec<Vec<usize>> {
+        self.cut_nodes(threshold)
+            .into_iter()
+            .map(|id| self.members(id))
+            .collect()
+    }
+
+    /// The node ids behind [`Dendrogram::cut`], in the same order: largest
+    /// first, ties by member list.
+    pub fn cut_nodes(&self, threshold: f64) -> Vec<usize> {
         if self.n == 0 {
             return Vec::new();
         }
@@ -105,19 +114,27 @@ impl Dendrogram {
         // any) does not survive.
         let total = self.n + self.merges.len();
         let mut parent = vec![usize::MAX; total];
+        let mut lowest_leaf: Vec<usize> = (0..self.n).collect();
         for (m, merge) in self.merges.iter().enumerate() {
             parent[merge.a] = self.n + m;
             parent[merge.b] = self.n + m;
+            lowest_leaf.push(lowest_leaf[merge.a].min(lowest_leaf[merge.b]));
         }
         let survives = |id: usize| id < self.n || self.merges[id - self.n].distance <= threshold;
-        let mut clusters = Vec::new();
-        for (id, &par) in parent.iter().enumerate() {
-            if survives(id) && (par == usize::MAX || !survives(par)) {
-                clusters.push(self.members(id));
+        let size = |id: usize| {
+            if id < self.n {
+                1
+            } else {
+                self.merges[id - self.n].size
             }
-        }
-        clusters.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-        clusters
+        };
+        let mut nodes: Vec<usize> = (0..total)
+            .filter(|&id| survives(id) && (parent[id] == usize::MAX || !survives(parent[id])))
+            .collect();
+        // Distinct nodes of equal size are disjoint subtrees, so their
+        // sorted member lists first differ at the lowest leaf.
+        nodes.sort_by_key(|&id| (std::cmp::Reverse(size(id)), lowest_leaf[id]));
+        nodes
     }
 
     /// Cut into (at most) `k` clusters by undoing the last merges.

@@ -1,14 +1,18 @@
 //! The end-to-end pipeline of Fig. 3a: payload check → sample → cluster →
 //! signature generation → detection → evaluation.
 
-use crate::cluster::agglomerate;
+use crate::cluster::{agglomerate, Dendrogram};
 use crate::detect::Detector;
 use crate::distance::{DistanceConfig, PacketDistance, PacketFeatures};
 use crate::eval::{tally, Counts, Rates};
 use crate::matrix::pairwise;
-use crate::signature::{signature_from_cluster, SignatureConfig, SignatureSet};
+use crate::signature::{
+    build_signature, field_bytes, rline_view, select_tokens, Field, SelectedToken, SignatureConfig,
+    SignatureSet,
+};
 use leaksig_compress::Lzss;
 use leaksig_http::HttpPacket;
+use leaksig_textdist::{meet_tokens, string_tokens};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -275,60 +279,14 @@ pub fn generate_signatures_counted<C: leaksig_compress::Compressor + Sync>(
     let dendrogram = agglomerate(&matrix);
     timings.cluster_ms = ms_since(t);
     let t = Instant::now();
-    let clusters: Vec<Vec<usize>> = match config.selection {
-        ClusterSelection::Cut(threshold) => dendrogram.cut(threshold),
-        ClusterSelection::AllNodes { max_distance } => {
-            let n = dendrogram.leaves();
-            let mut nodes: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-            for (m, merge) in dendrogram.merges().iter().enumerate() {
-                if merge.distance <= max_distance {
-                    nodes.push(dendrogram.members(n + m));
-                }
-            }
-            nodes
-        }
-    };
-    // The diagnostic cluster count: the cut size under `Cut`, the full
-    // dendrogram node count under `AllNodes` (a fixed cut is not
-    // meaningful there).
     let cluster_count = match config.selection {
-        ClusterSelection::Cut(_) => clusters.len(),
+        ClusterSelection::Cut(threshold) => dendrogram.cut_nodes(threshold).len(),
+        // A fixed cut is not meaningful under `AllNodes`: report the full
+        // dendrogram node count.
         ClusterSelection::AllNodes { .. } => 2 * packets.len() - 1,
     };
-
-    // Token extraction is per content field, so a cluster mixing GET and
-    // POST members of one module would lose the identifier token (it sits
-    // in the request line for GETs but the body for POSTs). Partition each
-    // cluster by method before extraction.
-    let mut signatures: Vec<crate::signature::ConjunctionSignature> = Vec::new();
-    let mut seen_token_sets: std::collections::HashSet<Vec<(u8, Vec<u8>)>> =
-        std::collections::HashSet::new();
-    let mut next_id = 0u32;
-    for cluster in &clusters {
-        let mut by_method: std::collections::BTreeMap<&str, Vec<&HttpPacket>> =
-            std::collections::BTreeMap::new();
-        for &i in cluster {
-            by_method
-                .entry(packets[i].request_line.method.as_str())
-                .or_default()
-                .push(packets[i]);
-        }
-        for members in by_method.values() {
-            if let Some(sig) = signature_from_cluster(next_id, members, &config.signature) {
-                // Overlapping dendrogram nodes produce many duplicates.
-                let key: Vec<(u8, Vec<u8>)> = sig
-                    .tokens
-                    .iter()
-                    .map(|t| (t.field as u8, t.bytes().to_vec()))
-                    .collect();
-                if seen_token_sets.insert(key) {
-                    signatures.push(sig);
-                    next_id += 1;
-                }
-            }
-        }
-    }
-    let mut set = SignatureSet { signatures };
+    let mut set =
+        signatures_from_dendrogram(packets, &dendrogram, config.selection, &config.signature);
 
     // Deploy gate: under the default configuration the generation filters
     // above leave nothing for this to catch — the gate is the invariant
@@ -352,6 +310,191 @@ pub fn generate_signatures_counted<C: leaksig_compress::Compressor + Sync>(
         clusters: cluster_count,
         timings,
     }
+}
+
+/// The invariant tokens of one method group of a dendrogram node.
+struct GroupTokens<'a> {
+    method: &'a str,
+    /// Lowest sample index in the group: the reference member whose
+    /// fields give the tokens' order hints.
+    first: usize,
+    size: usize,
+    /// Per field, in [`Field::ALL`] order: the complete (untruncated) set
+    /// of maximal common tokens, longest first.
+    fields: [Vec<&'a [u8]>; 3],
+}
+
+/// A node's groups, sorted by method.
+type NodeTokens<'a> = Vec<GroupTokens<'a>>;
+
+/// A method group of a selected node that passed [`select_tokens`],
+/// waiting for its turn in the selection order.
+struct Candidate<'a> {
+    method: &'a str,
+    size: usize,
+    tokens: Vec<SelectedToken<'a>>,
+}
+
+/// The token table entry of a node merging `a` and `b`: groups of the same
+/// method meet field by field, the rest carry over. Both children are
+/// consumed; nothing is cloned.
+fn merge_node_tokens<'a>(a: NodeTokens<'a>, b: NodeTokens<'a>, min_len: usize) -> NodeTokens<'a> {
+    let mut out = a;
+    for g in b {
+        match out.iter_mut().find(|o| o.method == g.method) {
+            Some(o) => {
+                o.first = o.first.min(g.first);
+                o.size += g.size;
+                o.fields = [0, 1, 2].map(|f| meet_tokens(&o.fields[f], &g.fields[f], min_len));
+            }
+            None => out.push(g),
+        }
+    }
+    out.sort_by(|x, y| x.method.cmp(y.method));
+    out
+}
+
+/// The signatures stage: token extraction and emission over a finished
+/// dendrogram (§IV-E), before the deploy gate.
+///
+/// Every selected node is partitioned by request method (token
+/// extraction is per content field, so a cluster mixing GET and POST
+/// members of one module would lose the identifier token: it sits in the
+/// request line for GETs but the body for POSTs), and each method group
+/// becomes a signature candidate. Candidates are emitted in selection
+/// order — leaves then merges for [`ClusterSelection::AllNodes`], cut
+/// order for [`ClusterSelection::Cut`], groups by method — and a candidate
+/// whose token set an earlier one already produced is skipped; ids number
+/// the survivors.
+///
+/// The tokens come from one bottom-up pass over the merges: each node's
+/// per-group token sets are the [`meet_tokens`] of its children's, so a
+/// packet is scanned once per merge on its path rather than once per
+/// selected ancestor. Children are moved into their parent; only nodes
+/// that are selected or below a selected node are built.
+pub fn signatures_from_dendrogram(
+    packets: &[&HttpPacket],
+    dendrogram: &Dendrogram,
+    selection: ClusterSelection,
+    config: &SignatureConfig,
+) -> SignatureSet {
+    let rlines: Vec<String> = packets.iter().map(|p| rline_view(p)).collect();
+    // The signatures are built after the pass has freed its working set,
+    // so the long-lived set is not scattered among transient allocations.
+    let accepted = distinct_candidates(packets, &rlines, dendrogram, selection, config);
+    let signatures = accepted
+        .iter()
+        .enumerate()
+        .map(|(id, (cluster, c))| {
+            let members = dendrogram.members(*cluster);
+            let hosts = members
+                .iter()
+                .map(|&i| packets[i])
+                .filter(|p| p.request_line.method.as_str() == c.method)
+                .map(|p| p.destination.host.as_str());
+            build_signature(id as u32, &c.tokens, c.size, hosts)
+        })
+        .collect();
+    SignatureSet { signatures }
+}
+
+/// The bottom-up pass of [`signatures_from_dendrogram`]: every selected
+/// node's candidates in selection order, each with its node id, minus
+/// those whose token set an earlier candidate already has.
+fn distinct_candidates<'a>(
+    packets: &[&'a HttpPacket],
+    rlines: &'a [String],
+    dendrogram: &Dendrogram,
+    selection: ClusterSelection,
+    config: &SignatureConfig,
+) -> Vec<(usize, Candidate<'a>)> {
+    let n = dendrogram.leaves();
+    let merges = dendrogram.merges();
+    let order: Vec<usize> = match selection {
+        ClusterSelection::Cut(threshold) => dendrogram.cut_nodes(threshold),
+        ClusterSelection::AllNodes { max_distance } => (0..n)
+            .chain(
+                (0..merges.len())
+                    .filter(|&m| merges[m].distance <= max_distance)
+                    .map(|m| n + m),
+            )
+            .collect(),
+    };
+    let total = n + merges.len();
+    let mut selected = vec![false; total];
+    for &node in &order {
+        selected[node] = true;
+    }
+    // A node is built when it or an ancestor is selected. A parent's id
+    // exceeds its children's, so one reverse sweep settles every node.
+    let mut needed = selected.clone();
+    for (m, merge) in merges.iter().enumerate().rev() {
+        if needed[n + m] {
+            needed[merge.a] = true;
+            needed[merge.b] = true;
+        }
+    }
+
+    let min_len = config.token.min_len;
+    let reference = |i: usize| Field::ALL.map(|field| field_bytes(packets[i], &rlines[i], field));
+    let mut table: Vec<Option<NodeTokens>> = Vec::with_capacity(total);
+    // Per selected node, once built: its candidates.
+    let mut candidates: Vec<Option<Vec<Candidate>>> = (0..total).map(|_| None).collect();
+    let mut accepted = Vec::new();
+    let mut seen_token_sets: std::collections::HashSet<Vec<(Field, &[u8])>> =
+        std::collections::HashSet::new();
+    let mut emitted = 0usize;
+    for node in 0..total {
+        if !needed[node] {
+            table.push(None);
+            continue;
+        }
+        let groups = if node < n {
+            vec![GroupTokens {
+                method: packets[node].request_line.method.as_str(),
+                first: node,
+                size: 1,
+                fields: reference(node).map(|bytes| string_tokens(bytes, min_len)),
+            }]
+        } else {
+            let merge = &merges[node - n];
+            let a = table[merge.a].take().expect("child built before parent");
+            let b = table[merge.b].take().expect("child built before parent");
+            merge_node_tokens(a, b, min_len)
+        };
+        if selected[node] {
+            candidates[node] = Some(
+                groups
+                    .iter()
+                    .filter_map(|g| {
+                        let sets = [&g.fields[0][..], &g.fields[1][..], &g.fields[2][..]];
+                        select_tokens(sets, reference(g.first), g.size, config).map(|tokens| {
+                            Candidate {
+                                method: g.method,
+                                size: g.size,
+                                tokens,
+                            }
+                        })
+                    })
+                    .collect(),
+            );
+        }
+        table.push(Some(groups));
+
+        // Settle every candidate whose turn in the selection order has come.
+        while let Some(ready) = order.get(emitted).and_then(|&v| candidates[v].take()) {
+            let cluster = order[emitted];
+            emitted += 1;
+            for c in ready {
+                // Overlapping dendrogram nodes produce many duplicates.
+                let key: Vec<(Field, &[u8])> = c.tokens.iter().map(|&(f, b, _)| (f, b)).collect();
+                if seen_token_sets.insert(key) {
+                    accepted.push((cluster, c));
+                }
+            }
+        }
+    }
+    accepted
 }
 
 /// One complete regeneration pass: §IV generation over `sample`,
@@ -869,6 +1012,138 @@ mod tests {
         let empty = generate_signatures_counted(Lzss::default(), &[], &cfg);
         assert_eq!(empty.clusters, 0);
         assert!(empty.set.is_empty());
+    }
+
+    /// The per-node loop the signatures stage ran before the bottom-up
+    /// token table: every selected node's members, grouped by method, each
+    /// group through [`signature_from_cluster`] from scratch, duplicates
+    /// skipped, then the deploy gate. Returns the set and the cluster count.
+    fn per_node_generation(
+        packets: &[&HttpPacket],
+        config: &PipelineConfig,
+    ) -> (SignatureSet, usize) {
+        use crate::signature::signature_from_cluster;
+        let dist = PacketDistance::new(Lzss::default(), config.distance);
+        let features: Vec<_> = packets.iter().map(|p| dist.features(p)).collect();
+        let dendrogram = agglomerate(&pairwise(&dist, &features));
+        let clusters: Vec<Vec<usize>> = match config.selection {
+            ClusterSelection::Cut(threshold) => dendrogram.cut(threshold),
+            ClusterSelection::AllNodes { max_distance } => {
+                let n = dendrogram.leaves();
+                let mut nodes: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+                for (m, merge) in dendrogram.merges().iter().enumerate() {
+                    if merge.distance <= max_distance {
+                        nodes.push(dendrogram.members(n + m));
+                    }
+                }
+                nodes
+            }
+        };
+        let count = match config.selection {
+            ClusterSelection::Cut(_) => clusters.len(),
+            ClusterSelection::AllNodes { .. } => 2 * packets.len() - 1,
+        };
+        let mut signatures = Vec::new();
+        let mut seen: std::collections::HashSet<Vec<(u8, Vec<u8>)>> = Default::default();
+        for cluster in &clusters {
+            let mut by_method: std::collections::BTreeMap<&str, Vec<&HttpPacket>> =
+                Default::default();
+            for &i in cluster {
+                by_method
+                    .entry(packets[i].request_line.method.as_str())
+                    .or_default()
+                    .push(packets[i]);
+            }
+            for members in by_method.values() {
+                let id = signatures.len() as u32;
+                if let Some(sig) = signature_from_cluster(id, members, &config.signature) {
+                    let key = sig
+                        .tokens
+                        .iter()
+                        .map(|t| (t.field as u8, t.bytes().to_vec()))
+                        .collect();
+                    if seen.insert(key) {
+                        signatures.push(sig);
+                    }
+                }
+            }
+        }
+        let mut set = SignatureSet { signatures };
+        if config.deploy_gate {
+            retain_structurally_clean(&mut set);
+            crate::analyze::drop_dead(&mut set, crate::detect::MatchMode::Conjunction);
+        }
+        (set, count)
+    }
+
+    /// Everything a signature carries, in order: id, tokens (field,
+    /// bytes, order hint), hosts, cluster size.
+    type SigDump = (u32, Vec<(u8, Vec<u8>, u32)>, Vec<String>, usize);
+
+    fn dump(set: &SignatureSet) -> Vec<SigDump> {
+        set.signatures
+            .iter()
+            .map(|s| {
+                let tokens = s
+                    .tokens
+                    .iter()
+                    .map(|t| (t.field as u8, t.bytes().to_vec(), t.order_hint()))
+                    .collect();
+                (s.id, tokens, s.hosts.clone(), s.cluster_size)
+            })
+            .collect()
+    }
+
+    /// The bottom-up token table emits exactly what the per-node loop
+    /// emits, under both selections and with the deploy gate on and off.
+    fn assert_matches_per_node_loop(packets: &[&HttpPacket]) {
+        for selection in [
+            ClusterSelection::AllNodes { max_distance: 3.5 },
+            ClusterSelection::Cut(1.6),
+        ] {
+            for deploy_gate in [true, false] {
+                let cfg = PipelineConfig {
+                    selection,
+                    deploy_gate,
+                    ..PipelineConfig::default()
+                };
+                let (expected, count) = per_node_generation(packets, &cfg);
+                let got = generate_signatures_counted(Lzss::default(), packets, &cfg);
+                assert!(
+                    !expected.is_empty(),
+                    "{selection:?}: oracle emitted nothing"
+                );
+                assert_eq!(got.clusters, count, "{selection:?} gate {deploy_gate}");
+                assert_eq!(
+                    dump(&got.set),
+                    dump(&expected),
+                    "{selection:?} gate {deploy_gate}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bottom_up_tokens_match_per_node_loop_on_mini_dataset() {
+        let (packets, _) = mini_dataset();
+        let refs: Vec<&HttpPacket> = packets.iter().collect();
+        assert_matches_per_node_loop(&refs);
+    }
+
+    #[test]
+    fn bottom_up_tokens_match_per_node_loop_on_market_sample() {
+        use leaksig_netsim::{Dataset, MarketConfig};
+        let data = Dataset::generate(MarketConfig::scaled(41, 0.05));
+        let sample: Vec<&HttpPacket> = data
+            .packets
+            .iter()
+            .filter(|p| p.is_sensitive())
+            .map(|p| &p.packet)
+            .step_by(3)
+            .take(300)
+            .collect();
+        assert_eq!(sample.len(), 300);
+        assert_matches_per_node_loop(&sample);
     }
 
     /// Chunked parallel feature extraction preserves order and content —

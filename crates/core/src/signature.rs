@@ -15,7 +15,7 @@
 
 use crate::payload::Needle;
 use leaksig_http::HttpPacket;
-use leaksig_textdist::{common_tokens, TokenConfig};
+use leaksig_textdist::{common_token_set, TokenConfig};
 
 /// The HTTP content field a token is anchored to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -274,54 +274,106 @@ pub fn signature_from_cluster(
     packets: &[&HttpPacket],
     config: &SignatureConfig,
 ) -> Option<ConjunctionSignature> {
-    if packets.is_empty() || (packets.len() == 1 && !config.include_singletons) {
-        return None;
-    }
-
-    let mut tokens: Vec<FieldToken> = Vec::new();
+    let first = packets.first()?;
     // Request-line strings must outlive the &[u8] views.
     let rlines: Vec<String> = packets.iter().map(|p| rline_view(p)).collect();
-    for field in Field::ALL {
-        let views: Vec<&[u8]> = match field {
-            Field::RequestLine => rlines.iter().map(|s| s.as_bytes()).collect(),
-            Field::Cookie => packets.iter().map(|p| p.cookie()).collect(),
-            Field::Body => packets.iter().map(|p| p.body.as_slice()).collect(),
-        };
-        for tok in common_tokens(&views, config.token) {
-            let generic = config.boilerplate.iter().any(|b| contains_sub(b, &tok));
+    let sets = Field::ALL.map(|field| {
+        let views: Vec<&[u8]> = packets
+            .iter()
+            .zip(&rlines)
+            .map(|(p, rline)| field_bytes(p, rline, field))
+            .collect();
+        common_token_set(&views, config.token.min_len)
+    });
+    let tokens = select_tokens(
+        [&sets[0], &sets[1], &sets[2]],
+        Field::ALL.map(|field| field_bytes(first, &rlines[0], field)),
+        packets.len(),
+        config,
+    )?;
+    Some(build_signature(
+        id,
+        &tokens,
+        packets.len(),
+        packets.iter().map(|p| p.destination.host.as_str()),
+    ))
+}
+
+/// The bytes of `field` in `packet`, given its [`rline_view`].
+pub(crate) fn field_bytes<'a>(packet: &'a HttpPacket, rline: &'a str, field: Field) -> &'a [u8] {
+    match field {
+        Field::RequestLine => rline.as_bytes(),
+        Field::Cookie => packet.cookie(),
+        Field::Body => &packet.body,
+    }
+}
+
+/// A token chosen for emission: field, bytes, order hint.
+pub(crate) type SelectedToken<'a> = (Field, &'a [u8], u32);
+
+/// Emission, first half: choose a cluster's signature tokens from its
+/// complete per-field invariant token sets (`token_sets`, in
+/// [`Field::ALL`] order, each longest first as
+/// [`leaksig_textdist::meet_tokens`] returns them). `reference` holds the
+/// fields of the cluster's first member, `size` its member count.
+///
+/// Per field the set is truncated to `config.token.max_tokens` and
+/// boilerplate tokens are dropped; each token's order hint is its first
+/// occurrence in the reference member. `None` when the cluster is a
+/// singleton that the config excludes, or keeps no anchor token.
+/// Otherwise the tokens come back longest first, then by field and bytes.
+pub(crate) fn select_tokens<'a>(
+    token_sets: [&[&'a [u8]]; 3],
+    reference: [&[u8]; 3],
+    size: usize,
+    config: &SignatureConfig,
+) -> Option<Vec<SelectedToken<'a>>> {
+    if size == 0 || (size == 1 && !config.include_singletons) {
+        return None;
+    }
+    let mut tokens: Vec<SelectedToken<'a>> = Vec::new();
+    for ((field, set), reference) in Field::ALL.into_iter().zip(token_sets).zip(reference) {
+        for &tok in set.iter().take(config.token.max_tokens) {
+            let generic = config.boilerplate.iter().any(|b| contains_sub(b, tok));
             if !generic {
-                // Emission order = first occurrence in the reference
-                // (first) member.
-                let hint = find_from(views[0], &tok, 0).unwrap_or(0) as u32;
-                tokens.push(FieldToken::with_hint(field, tok, hint));
+                let hint = find_from(reference, tok, 0).unwrap_or(0) as u32;
+                tokens.push((field, tok, hint));
             }
         }
     }
 
     // Anchor requirement: at least one token long enough to be specific.
-    if !tokens
-        .iter()
-        .any(|t| t.bytes().len() >= config.min_anchor_len)
-    {
+    if !tokens.iter().any(|t| t.1.len() >= config.min_anchor_len) {
         return None;
     }
     tokens.sort_by(|a, b| {
-        b.bytes()
-            .len()
-            .cmp(&a.bytes().len())
-            .then_with(|| (a.field, a.bytes()).cmp(&(b.field, b.bytes())))
+        b.1.len()
+            .cmp(&a.1.len())
+            .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
     });
+    Some(tokens)
+}
 
-    let mut hosts: Vec<String> = packets.iter().map(|p| p.destination.host.clone()).collect();
-    hosts.sort();
+/// Emission, second half: the signature for tokens chosen by
+/// [`select_tokens`], with the distinct destination hosts of its members.
+pub(crate) fn build_signature<'h>(
+    id: u32,
+    tokens: &[SelectedToken<'_>],
+    size: usize,
+    hosts: impl IntoIterator<Item = &'h str>,
+) -> ConjunctionSignature {
+    let mut hosts: Vec<&str> = hosts.into_iter().collect();
+    hosts.sort_unstable();
     hosts.dedup();
-
-    Some(ConjunctionSignature {
+    ConjunctionSignature {
         id,
-        tokens,
-        cluster_size: packets.len(),
-        hosts,
-    })
+        tokens: tokens
+            .iter()
+            .map(|&(field, bytes, hint)| FieldToken::with_hint(field, bytes, hint))
+            .collect(),
+        cluster_size: size,
+        hosts: hosts.into_iter().map(str::to_owned).collect(),
+    }
 }
 
 /// An ordered set of signatures, the unit shipped to devices.

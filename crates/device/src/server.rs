@@ -461,9 +461,10 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
         };
         let suspicious = self.check.is_suspicious(&packet);
 
-        // Enqueue (locked): poison filter, then the shed policy.
+        // Enqueue (locked): poison filter, then the shed policy. The key
+        // hashes the whole packet, so skip it while nothing is poisoned.
         let mut st = self.state.lock();
-        if st.poisoned.contains(&packet_key(&packet)) {
+        if !st.poisoned.is_empty() && st.poisoned.contains(&packet_key(&packet)) {
             let record = QuarantineRecord {
                 reason: QuarantineReason::PoisonReingest,
                 source: ip,
@@ -1081,6 +1082,39 @@ mod tests {
         );
         assert_eq!(srv.reservoir_len(), 9);
         assert_eq!(srv.stats().quarantined, 2);
+    }
+
+    /// The poison filter is skipped while nothing is poisoned and engages
+    /// from the first `quarantine_packets` call: the same raw packet is
+    /// admitted before the verdict and refused after it, while other
+    /// packets keep flowing.
+    #[test]
+    fn reingest_is_refused_only_after_quarantine() {
+        let srv = server();
+        let poison = leak(5);
+        let (raw, ip, port) = raw_of(&poison);
+        for now_ms in 0..3 {
+            assert_eq!(
+                srv.ingest_raw_at(&raw, ip, port, now_ms),
+                IngestOutcome::Admitted { suspicious: true },
+                "no verdict yet: admitted"
+            );
+        }
+        srv.quarantine_packets(std::slice::from_ref(&poison), QuarantineReason::Poison);
+        assert_eq!(
+            srv.ingest_raw_at(&raw, ip, port, 10),
+            IngestOutcome::Quarantined(QuarantineReason::PoisonReingest)
+        );
+        let (other, oip, oport) = raw_of(&leak(6));
+        assert_eq!(
+            srv.ingest_raw_at(&other, oip, oport, 11),
+            IngestOutcome::Admitted { suspicious: true }
+        );
+        let ledger = srv.quarantine_ledger();
+        assert_eq!(
+            ledger.last().unwrap().reason,
+            QuarantineReason::PoisonReingest
+        );
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! * **Conjunction signature generation** (§IV-E) needs the "longest common
 //!   substrings" of a cluster of HTTP payloads: the invariant tokens shared
 //!   by every member. [`common_tokens`] computes the maximal substrings (of
-//!   a configurable minimum length) present in *all* of a set of strings,
-//!   using a [`SuffixAutomaton`] per refinement step so the whole
-//!   extraction is near-linear in total input size.
+//!   a configurable minimum length) present in *all* of a set of strings
+//!   as a fold of [`meet_tokens`], which merges the token sets of two
+//!   groups into the token set of their union with one generalized
+//!   [`SuffixAutomaton`], so the whole extraction is near-linear in total
+//!   input size and can run bottom-up over a cluster hierarchy.
 //!
 //! Everything operates on `&[u8]`: HTTP payloads are byte strings and the
 //! paper's distances are defined on raw packet content.
@@ -21,7 +23,10 @@ mod tokens;
 
 pub use levenshtein::{levenshtein, levenshtein_bounded, normalized_levenshtein};
 pub use sam::SuffixAutomaton;
-pub use tokens::{common_tokens, longest_common_substring, TokenConfig};
+pub use tokens::{
+    common_token_set, common_tokens, longest_common_substring, meet_tokens, string_tokens,
+    TokenConfig,
+};
 
 #[cfg(test)]
 mod tests {

@@ -2,8 +2,9 @@
 //!
 //! The suffix automaton of `s` is the minimal DFA accepting every substring
 //! of `s`; it has at most `2|s| − 1` states and is built online in O(|s|)
-//! (Blumer et al.). `leaksig` uses it for two queries that signature
-//! generation performs constantly:
+//! (Blumer et al.). The generalized form indexes several strings at once
+//! and accepts every substring of any of them. `leaksig` uses it for two
+//! queries that signature generation performs constantly:
 //!
 //! * [`SuffixAutomaton::contains`] — is `t` a substring of `s`?
 //! * [`SuffixAutomaton::match_lengths`] — for each position `j` of a query
@@ -39,67 +40,93 @@ impl State {
     }
 }
 
-/// Suffix automaton of a fixed byte string.
+/// Suffix automaton of a fixed byte string, or of a fixed list of them.
 #[derive(Debug, Clone)]
 pub struct SuffixAutomaton {
     states: Vec<State>,
-    last: u32,
 }
 
 impl SuffixAutomaton {
     /// Build the automaton of `s` in O(|s|) amortised.
     pub fn new(s: &[u8]) -> Self {
+        Self::from_strings(&[s])
+    }
+
+    /// Build the generalized automaton of `strings`: it accepts every
+    /// substring of any of them, and [`SuffixAutomaton::match_lengths`]
+    /// measures matches against all of them at once. O(Σ|s|) amortised.
+    pub fn from_strings(strings: &[&[u8]]) -> Self {
+        let total: usize = strings.iter().map(|s| s.len()).sum();
         let mut sam = SuffixAutomaton {
-            states: Vec::with_capacity(2 * s.len().max(1)),
-            last: 0,
+            states: Vec::with_capacity(1 + 2 * total),
         };
         sam.states.push(State {
             next: Vec::new(),
             link: -1,
             len: 0,
         });
-        for &b in s {
-            sam.extend(b);
+        for &s in strings {
+            let mut last = 0u32;
+            for &b in s {
+                last = sam.extend(last, b);
+            }
         }
         sam
     }
 
-    fn extend(&mut self, b: u8) {
+    /// Append `b` after the state `last`; returns the state of the
+    /// extended string. When an earlier string already reached the
+    /// extension, the existing state is reused (or split to the right
+    /// length) rather than adding an unreachable duplicate, so `len` and
+    /// suffix links stay exact across strings.
+    fn extend(&mut self, last: u32, b: u8) -> u32 {
+        let last_len = self.states[last as usize].len;
+        if let Some(q) = self.states[last as usize].get(b) {
+            if self.states[q as usize].len == last_len + 1 {
+                return q;
+            }
+            return self.split(last as i32, q, b);
+        }
+
         let cur = self.states.len() as u32;
-        let cur_len = self.states[self.last as usize].len + 1;
         self.states.push(State {
             next: Vec::new(),
             link: -1,
-            len: cur_len,
+            len: last_len + 1,
         });
 
-        let mut p = self.last as i32;
+        let mut p = last as i32;
         while p >= 0 && self.states[p as usize].get(b).is_none() {
             self.states[p as usize].set(b, cur);
             p = self.states[p as usize].link;
         }
 
-        if p < 0 {
-            self.states[cur as usize].link = 0;
+        self.states[cur as usize].link = if p < 0 {
+            0
         } else {
             let q = self.states[p as usize].get(b).expect("checked in loop");
             if self.states[p as usize].len + 1 == self.states[q as usize].len {
-                self.states[cur as usize].link = q as i32;
+                q as i32
             } else {
-                // Clone q into a state of the right length.
-                let clone = self.states.len() as u32;
-                let mut cloned = self.states[q as usize].clone();
-                cloned.len = self.states[p as usize].len + 1;
-                self.states.push(cloned);
-                while p >= 0 && self.states[p as usize].get(b) == Some(q) {
-                    self.states[p as usize].set(b, clone);
-                    p = self.states[p as usize].link;
-                }
-                self.states[q as usize].link = clone as i32;
-                self.states[cur as usize].link = clone as i32;
+                self.split(p, q, b) as i32
             }
+        };
+        cur
+    }
+
+    /// Clone `q` (the `b`-successor of `p`) into a state of length
+    /// `len(p) + 1`, redirect `p`'s suffix chain to it, and return it.
+    fn split(&mut self, mut p: i32, q: u32, b: u8) -> u32 {
+        let clone = self.states.len() as u32;
+        let mut cloned = self.states[q as usize].clone();
+        cloned.len = self.states[p as usize].len + 1;
+        self.states.push(cloned);
+        while p >= 0 && self.states[p as usize].get(b) == Some(q) {
+            self.states[p as usize].set(b, clone);
+            p = self.states[p as usize].link;
         }
-        self.last = cur;
+        self.states[q as usize].link = clone as i32;
+        clone
     }
 
     /// Number of automaton states (diagnostics).
@@ -192,6 +219,37 @@ mod tests {
         let s = b"abcabxabcd".repeat(10);
         let sam = SuffixAutomaton::new(&s);
         assert!(sam.state_count() <= 2 * s.len());
+    }
+
+    #[test]
+    fn generalized_automaton_accepts_exactly_the_union() {
+        let strings: [&[u8]; 4] = [b"abcab", b"bcabd", b"", b"cabx"];
+        let sam = SuffixAutomaton::from_strings(&strings);
+        let in_any = |t: &[u8]| strings.iter().any(|s| s.windows(t.len()).any(|w| w == t));
+        let alphabet = b"abcdx";
+        // Every string up to length 4 over the alphabet.
+        let mut queue: Vec<Vec<u8>> = vec![Vec::new()];
+        while let Some(t) = queue.pop() {
+            assert_eq!(sam.contains(&t), t.is_empty() || in_any(&t), "{t:?}");
+            if t.len() < 4 {
+                for &b in alphabet {
+                    let mut u = t.clone();
+                    u.push(b);
+                    queue.push(u);
+                }
+            }
+        }
+        let t = b"xbcabdcab";
+        let brute: Vec<usize> = (0..t.len())
+            .map(|j| {
+                (1..=j + 1)
+                    .rev()
+                    .find(|&l| in_any(&t[j + 1 - l..=j]))
+                    .unwrap_or(0)
+            })
+            .collect();
+        assert_eq!(sam.match_lengths(t), brute);
+        assert_eq!(brute, vec![1, 1, 2, 3, 4, 5, 1, 2, 3]);
     }
 
     #[test]

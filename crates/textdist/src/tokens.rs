@@ -2,12 +2,18 @@
 //! byte strings (paper §IV-E).
 //!
 //! A conjunction signature is the set of maximal substrings shared by every
-//! member of a cluster. The extraction here is iterative refinement:
-//! starting from the shortest member as a single candidate token, each
-//! further member's suffix automaton splits every candidate into the
-//! maximal pieces that member still contains. Each refinement step is
-//! linear in the candidate text plus the member length, so a whole cluster
-//! costs O(total bytes) rather than the naive O(n²·len²).
+//! member of a cluster. Everything here rests on one step, [`meet_tokens`]:
+//! given the maximal common tokens of two groups of strings, the maximal
+//! common tokens of their union are the maximal pieces of one side's tokens
+//! that occur inside some token of the other side. A string is common to
+//! `A ∪ B` iff it is common to `A` and to `B`, i.e. iff it lies inside a
+//! token of `A` and inside a token of `B`; so the meet of two exact token
+//! sets is exact, and any fold of meets over any merge tree yields the same
+//! canonical set. [`common_tokens`] is that fold over single strings; the
+//! signature pipeline folds bottom-up over a dendrogram instead.
+//!
+//! Each meet indexes one side in a generalized [`SuffixAutomaton`] and
+//! scans the other, so it is linear in the bytes of both token sets.
 
 use crate::sam::SuffixAutomaton;
 
@@ -53,51 +59,81 @@ pub fn longest_common_substring(a: &[u8], b: &[u8]) -> Vec<u8> {
 }
 
 /// The maximal substrings (length ≥ `config.min_len`) present in **every**
-/// string of `strings`, longest first (ties broken lexicographically).
+/// string of `strings`, longest first (ties broken lexicographically),
+/// truncated to `config.max_tokens`.
 ///
-/// Returns an empty vector when `strings` is empty or nothing long enough
-/// is shared. Containment-redundant tokens (a token that is a substring of
-/// another returned token) are dropped: in a conjunction they add no
-/// constraint.
+/// Returns an empty vector when `strings` is empty, `config.min_len` is
+/// zero, or nothing long enough is shared. Containment-redundant tokens (a
+/// token that is a substring of another returned token) are dropped: in a
+/// conjunction they add no constraint.
 pub fn common_tokens(strings: &[&[u8]], config: TokenConfig) -> Vec<Vec<u8>> {
-    if strings.is_empty() || config.min_len == 0 {
-        return Vec::new();
-    }
-    // Refining against the others shrinks candidates fastest when we start
-    // from the shortest member.
-    let ref_idx = (0..strings.len())
-        .min_by_key(|&i| strings[i].len())
-        .expect("nonempty");
-    if strings[ref_idx].len() < config.min_len {
-        return Vec::new();
-    }
-
-    let mut tokens: Vec<Vec<u8>> = vec![strings[ref_idx].to_vec()];
-    for (i, s) in strings.iter().enumerate() {
-        if i == ref_idx {
-            continue;
-        }
-        let sam = SuffixAutomaton::new(s);
-        let mut refined: Vec<Vec<u8>> = Vec::new();
-        for t in &tokens {
-            refine_token(t, &sam, config.min_len, &mut refined);
-        }
-        refined.sort();
-        refined.dedup();
-        tokens = refined;
-        if tokens.is_empty() {
-            return Vec::new();
-        }
-    }
-
-    drop_contained(&mut tokens);
-    tokens.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+    let mut tokens = common_token_set(strings, config.min_len);
     tokens.truncate(config.max_tokens);
+    tokens.into_iter().map(<[u8]>::to_vec).collect()
+}
+
+/// [`common_tokens`] before truncation, borrowing from the inputs: the
+/// complete canonical set of maximal common tokens, as a left fold of
+/// [`meet_tokens`] over the strings' [`string_tokens`].
+pub fn common_token_set<'a>(strings: &[&'a [u8]], min_len: usize) -> Vec<&'a [u8]> {
+    let Some((&first, rest)) = strings.split_first() else {
+        return Vec::new();
+    };
+    let mut tokens = string_tokens(first, min_len);
+    for &s in rest {
+        if tokens.is_empty() {
+            break;
+        }
+        tokens = meet_tokens(&tokens, &string_tokens(s, min_len), min_len);
+    }
     tokens
 }
 
-/// Push the maximal substrings of `t` that occur in `sam` onto `out`.
-fn refine_token(t: &[u8], sam: &SuffixAutomaton, min_len: usize, out: &mut Vec<Vec<u8>>) {
+/// The token set of a one-string group: the string itself when it is at
+/// least `min_len` (and `min_len` is non-zero) bytes long, else nothing.
+pub fn string_tokens(s: &[u8], min_len: usize) -> Vec<&[u8]> {
+    if min_len > 0 && s.len() >= min_len {
+        vec![s]
+    } else {
+        Vec::new()
+    }
+}
+
+/// The maximal common tokens of the union of two groups, from each group's
+/// own token set: the maximal strings of length ≥ `min_len` that lie
+/// inside some token of `a` and inside some token of `b`, longest first
+/// (ties lexicographic), none contained in another.
+///
+/// When `a` and `b` are the exact token sets of two string groups (as
+/// returned by [`common_token_set`], [`string_tokens`] or an earlier meet),
+/// the result is the exact token set of their union, whatever the order or
+/// grouping of the meets that produced the inputs. Inputs need not be
+/// canonical. The result borrows from the inputs.
+pub fn meet_tokens<'a>(a: &[&'a [u8]], b: &[&'a [u8]], min_len: usize) -> Vec<&'a [u8]> {
+    if min_len == 0 || a.is_empty() || b.is_empty() {
+        return Vec::new();
+    }
+    // Index the side with fewer bytes (automaton construction is the
+    // costlier half) and scan the other; the result is symmetric.
+    let bytes = |side: &[&[u8]]| side.iter().map(|t| t.len()).sum::<usize>();
+    let (scan, index) = if bytes(a) >= bytes(b) { (a, b) } else { (b, a) };
+    let sam = SuffixAutomaton::from_strings(index);
+    let mut out = Vec::new();
+    for &t in scan {
+        push_maximal_pieces(t, &sam, min_len, &mut out);
+    }
+    canonicalize(&mut out);
+    out
+}
+
+/// Push the maximal substrings of `t` (length ≥ `min_len`) that occur in
+/// `sam` onto `out`.
+fn push_maximal_pieces<'a>(
+    t: &'a [u8],
+    sam: &SuffixAutomaton,
+    min_len: usize,
+    out: &mut Vec<&'a [u8]>,
+) {
     let lens = sam.match_lengths(t);
     // Match intervals ending at j are [j+1-lens[j], j]. Their starts are
     // non-decreasing in j, so interval j is contained in interval j+1 iff
@@ -115,18 +151,29 @@ fn refine_token(t: &[u8], sam: &SuffixAutomaton, min_len: usize, out: &mut Vec<V
                 continue; // extended by the next position: not maximal
             }
         }
-        out.push(t[start..=j].to_vec());
+        out.push(&t[start..=j]);
     }
 }
 
-/// Remove tokens that are substrings of another token in the set.
-fn drop_contained(tokens: &mut Vec<Vec<u8>>) {
-    let snapshot = tokens.clone();
-    tokens.retain(|t| {
-        !snapshot
+/// Sort longest first (ties lexicographic), deduplicate, and drop tokens
+/// contained in another token of the set.
+fn canonicalize(tokens: &mut Vec<&[u8]>) {
+    tokens.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+    tokens.dedup();
+    // Sorted longest first, so a token can only be contained in one kept
+    // before it; a dropped container is itself inside a kept one.
+    let mut kept = 0;
+    for i in 0..tokens.len() {
+        let t = tokens[i];
+        if !tokens[..kept]
             .iter()
-            .any(|other| other.len() > t.len() && contains_sub(other, t))
-    });
+            .any(|k| k.len() > t.len() && contains_sub(k, t))
+        {
+            tokens[kept] = t;
+            kept += 1;
+        }
+    }
+    tokens.truncate(kept);
 }
 
 fn contains_sub(haystack: &[u8], needle: &[u8]) -> bool {
@@ -246,6 +293,19 @@ mod tests {
     #[test]
     fn empty_input_set() {
         assert!(toks(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn meet_of_groups_is_the_token_set_of_their_union() {
+        let a: [&[u8]; 2] = [b"GET /ad?imei=355195&slot=1", b"GET /ad?imei=355195&slot=2"];
+        let b: [&[u8]; 2] = [b"GET /ad?imei=868030&slot=1", b"GET /ad?imei=355195&slot=7"];
+        let ta = common_token_set(&a, 4);
+        let tb = common_token_set(&b, 4);
+        let all = [a[0], a[1], b[0], b[1]];
+        assert_eq!(meet_tokens(&ta, &tb, 4), common_token_set(&all, 4));
+        assert_eq!(meet_tokens(&tb, &ta, 4), common_token_set(&all, 4));
+        assert!(meet_tokens(&ta, &[], 4).is_empty());
+        assert!(meet_tokens(&ta, &tb, 0).is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Benchmark runner: detection + NCD (`detect`), raw-intake (`ingest`),
-# regeneration matrix/pass cost (`regen`), and loopback-TCP
+# regeneration matrix/signatures/pass cost (`regen`), and loopback-TCP
 # collection-server throughput (`net`).
 #
 # Default (quick mode): runs each bench binary at its full configured
@@ -121,8 +121,8 @@ if [[ "$MODE" == "smoke" ]]; then
         exit 1
     fi
     REGEN_ROWS=$(grep -c '"group":"regen"' "$OUTDIR/BENCH_regen.json")
-    if [[ "$REGEN_ROWS" -lt 3 ]]; then
-        echo "smoke: expected >=3 regen rows, got $REGEN_ROWS" >&2
+    if [[ "$REGEN_ROWS" -lt 4 ]]; then
+        echo "smoke: expected >=4 regen rows, got $REGEN_ROWS" >&2
         exit 1
     fi
     echo "smoke: ok ($ROWS detect rows, $INGEST_ROWS ingest rows, $NET_ROWS net rows, $REGEN_ROWS regen rows)"

@@ -45,6 +45,7 @@ DISK_SEEDS="$DISK_SEEDS" cargo test --quiet --test disk_chaos
 # signatures (exit 1 on any proved finding fails the gate via set -e),
 # then exercise the generation diff between them.
 echo "==> analyze gate"
+cargo build --release -p leaksig-cli
 ANALYZE_DIR="$(mktemp -d)"
 trap 'rm -rf "$ANALYZE_DIR"' EXIT
 CLI=target/release/leaksig-cli
