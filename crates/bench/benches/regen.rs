@@ -123,7 +123,7 @@ fn bench_regeneration_pass(c: &mut Criterion) {
     for n in sizes() {
         let sample = traffic(&data, true, n);
         {
-            let set = regeneration_pass(&sample, &normal, &config);
+            let set = regeneration_pass(&sample, &normal, &config).set;
             assert!(!set.is_empty(), "pass at n={n} generated nothing");
         }
         g.throughput(Throughput::Elements(n as u64));

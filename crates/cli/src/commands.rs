@@ -59,18 +59,17 @@ last 10 audit records:"
 }
 
 /// Print a regeneration outcome the same way everywhere.
-fn report_regen(
-    outcome: &leaksig_device::RegenerateOutcome,
-    publisher: &leaksig_device::SignatureServer,
-) {
+fn report_regen(outcome: &leaksig_device::RegenerateOutcome) {
     use leaksig_device::RegenerateOutcome;
     match outcome {
         RegenerateOutcome::Published {
             version,
             signatures,
+            diff,
+            ..
         } => {
             println!("published v{version} ({signatures} signatures)");
-            if let Some(diff) = publisher.take_last_diff() {
+            if let Some(diff) = diff {
                 println!("  generation diff: {}", diff.summary());
             }
         }
@@ -188,7 +187,7 @@ pub fn serve(args: &Args) -> Result<i32, String> {
         if regen_every > 0 && s.batches.saturating_sub(last_regen) >= regen_every {
             last_regen = s.batches;
             print!("regeneration at {} batches: ", s.batches);
-            report_regen(&collector.regenerate(n, &publisher), &publisher);
+            report_regen(&collector.regenerate(n, &publisher));
         }
         if batches > 0 && s.batches >= batches {
             break;
@@ -196,7 +195,7 @@ pub fn serve(args: &Args) -> Result<i32, String> {
     }
     let net = server.shutdown();
     print!("final regeneration: ");
-    report_regen(&collector.regenerate(n, &publisher), &publisher);
+    report_regen(&collector.regenerate(n, &publisher));
     if let Some(out) = args.optional("sigs-out") {
         match publisher.fetch(0) {
             Some((version, text)) => {
@@ -378,7 +377,7 @@ fn chaos_net(args: &Args, list: &str) -> Result<i32, String> {
     }
 
     print!("\nregeneration: ");
-    report_regen(&collector.regenerate(150, &publisher), &publisher);
+    report_regen(&collector.regenerate(150, &publisher));
     let store = SignatureStore::new();
     let mut sync = SyncClient::with_default_policy(TcpTransport::new(server.addr()));
     let report = sync.sync(&store);
@@ -615,7 +614,8 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
         SupervisorConfig, SyncClient, SyncEventKind,
     };
     use leaksig_faults::{
-        apply_ingest_fault, CrashPoint, FaultKind, FaultPlan, IngestFaultKind, IngestFaultPlan,
+        apply_ingest_fault, CrashFlavor, FaultKind, FaultPlan, FaultyDisk, IngestFaultKind,
+        IngestFaultPlan, RealDisk,
     };
 
     let seed: u64 = args.parsed_or("seed", 42).map_err(|e| e.to_string())?;
@@ -716,31 +716,11 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
                 collector.queue_len()
             );
         }
-        match supervisor.regenerate(&collector, 150, &publisher) {
-            RegenerateOutcome::Published {
-                version,
-                signatures,
-            } => {
-                println!("\nround {round}: published v{version} ({signatures} signatures)");
-                if let Some(diff) = publisher.take_last_diff() {
-                    println!("  generation diff: {}", diff.summary());
-                }
-            }
-            RegenerateOutcome::NoTraffic => {
-                println!("\nround {round}: no suspicious traffic yet")
-            }
-            RegenerateOutcome::Rejected(diags) => {
-                println!("\nround {round}: publish rejected ({} findings)", diags.len())
-            }
-            RegenerateOutcome::TimedOut { deadline_ms } => {
-                println!("\nround {round}: regeneration exceeded {deadline_ms}ms; kept old set")
-            }
-            RegenerateOutcome::Panicked { message } => {
-                println!("\nround {round}: pipeline panicked ({message}); kept old set")
-            }
-        }
-        if let Some(t) = take_last_timings() {
-            println!("  {}", t.event_line());
+        let outcome = supervisor.regenerate(&collector, 150, &publisher);
+        print!("\nround {round}: ");
+        report_regen(&outcome);
+        if let RegenerateOutcome::Published { timings, .. } = &outcome {
+            println!("  {}", timings.event_line());
         }
         let report = client.sync(&store);
         for ev in &report.events {
@@ -775,24 +755,30 @@ pub fn chaos(args: &Args) -> Result<i32, String> {
         );
     }
 
-    // Crash-safe persistence demo: snapshot, tear a write mid-flight,
-    // and show the restore rolling back to the last good generation.
+    // Crash-safe persistence demo: snapshot, kill the process with a
+    // torn write mid-way through the next save, and show the restart
+    // restoring the last good generation.
     let dir = std::env::temp_dir().join(format!("leaksig-chaos-{seed}-{}", std::process::id()));
-    let vault = leaksig_device::SnapshotVault::new(&dir).map_err(|e| e.to_string())?;
-    let saved = vault.save_store(&store).map_err(|e| e.to_string())?;
-    vault
-        .save_store_with_crash(&store, Some(CrashPoint::TornWrite { keep_permille: 400 }))
+    let saved = leaksig_device::SnapshotVault::new(&dir)
+        .and_then(|mut vault| vault.save_store(&store))
         .map_err(|e| e.to_string())?;
-    let (restored, report) = vault.restore_store();
+    let (disk, ctl) = FaultyDisk::new(RealDisk);
+    let mut vault =
+        leaksig_device::SnapshotVault::open(&dir, Box::new(disk)).map_err(|e| e.to_string())?;
+    ctl.arm_crash(ctl.mutations(), CrashFlavor::Torn);
+    let crashed = vault.save_store(&store).is_err();
+    let (restored, report) = leaksig_device::SnapshotVault::new(&dir)
+        .map_err(|e| e.to_string())?
+        .restore_store();
     println!(
-        "\npersistence: saved gen {saved}, tore gen {} mid-write; restore picked gen {:?} \
+        "\npersistence: saved gen {saved}, crashed mid-write of gen {}; restore picked gen {:?} \
          ({} corrupt skipped), health {}",
         saved + 1,
         report.generation,
         report.skipped_corrupt,
         report.health
     );
-    let intact = restored.version() == store.version();
+    let intact = crashed && restored.version() == store.version();
     let _ = std::fs::remove_dir_all(&dir);
 
     if let Some(plan) = &ingest_plan {

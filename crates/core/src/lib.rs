@@ -96,10 +96,10 @@ pub mod prelude {
     pub use crate::matrix::{pairwise, pairwise_naive, CondensedMatrix};
     pub use crate::payload::{Needle, PayloadCheck};
     pub use crate::pipeline::{
-        drop_dominated, generate_signatures, generate_signatures_counted,
-        generate_signatures_with, prune_against_normal, regeneration_pass, run_experiment,
-        run_experiment_refs, take_last_timings, ClusterSelection, ExperimentOutcome,
-        FpValidation, GeneratedSignatures, PipelineConfig, StageTimings,
+        drop_dominated, generate_signatures, generate_signatures_counted, generate_signatures_with,
+        prune_against_normal, regeneration_pass, run_experiment, run_experiment_refs,
+        ClusterSelection, ExperimentOutcome, FpValidation, GeneratedSignatures, PipelineConfig,
+        StageTimings,
     };
     pub use crate::signature::{
         signature_from_cluster, ConjunctionSignature, Field, FieldToken, SignatureConfig,

@@ -62,21 +62,6 @@ fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-/// Timings of the most recent [`regeneration_pass`], on any thread.
-///
-/// The pass runs deep inside the collection server (often on a supervised
-/// worker thread) where its return type — the signature set — has no room
-/// for diagnostics, so the timings are parked here for whoever reports on
-/// the pass afterwards.
-static LAST_TIMINGS: std::sync::Mutex<Option<StageTimings>> = std::sync::Mutex::new(None);
-
-/// Take (and clear) the timings recorded by the most recent completed
-/// [`regeneration_pass`]. Returns `None` when no pass has finished since
-/// the last take.
-pub fn take_last_timings() -> Option<StageTimings> {
-    LAST_TIMINGS.lock().unwrap_or_else(|e| e.into_inner()).take()
-}
-
 /// Extract [`PacketFeatures`] for every packet across all cores.
 ///
 /// Feature extraction self-compresses three content fields per packet, so
@@ -222,7 +207,7 @@ pub fn prune_against_normal(
 /// A generated signature set plus the clustering diagnostics the
 /// experiment driver needs — returned together so callers never recompute
 /// the O(n²) distance matrix just to count clusters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GeneratedSignatures {
     /// The signatures that survived the filters and the deploy gate.
     pub set: SignatureSet,
@@ -230,9 +215,8 @@ pub struct GeneratedSignatures {
     /// [`ClusterSelection::Cut`], the full dendrogram node count
     /// (`2n − 1`) for [`ClusterSelection::AllNodes`].
     pub clusters: usize,
-    /// Where the wall-clock went (`prune_ms` is zero here — pruning
-    /// happens after generation, in [`regeneration_pass`] or the
-    /// experiment driver).
+    /// Where the wall-clock went (`prune_ms` is zero from
+    /// [`generate_signatures_counted`]; [`regeneration_pass`] fills it in).
     pub timings: StageTimings,
 }
 
@@ -504,34 +488,35 @@ fn distinct_candidates<'a>(
 /// regeneration supervisor can run the identical pass on a worker thread
 /// (and on bisected sub-samples) without duplicating the ordering, which
 /// is load-bearing: pruning must precede [`drop_dominated`].
+///
+/// Returns the set together with the pass's [`StageTimings`] (all five
+/// stages, pruning included).
 pub fn regeneration_pass(
     sample: &[&HttpPacket],
     normal: &[&HttpPacket],
     config: &PipelineConfig,
-) -> SignatureSet {
+) -> GeneratedSignatures {
     // Defer the deploy gate past benign pruning: gate-time dead-signature
     // removal must not let a general signature swallow its specific
     // children before validation has had a chance to reject it.
     let mut gen_config = config.clone();
     gen_config.deploy_gate = false;
-    let generated = generate_signatures_counted(Lzss::default(), sample, &gen_config);
-    let mut timings = generated.timings;
-    let mut set = generated.set;
+    let mut generated = generate_signatures_counted(Lzss::default(), sample, &gen_config);
+    let set = &mut generated.set;
     let t = Instant::now();
     if let Some(v) = config.fp_validation {
-        prune_against_normal(&mut set, normal, v.max_hits);
+        prune_against_normal(set, normal, v.max_hits);
     }
     if config.deploy_gate {
-        retain_structurally_clean(&mut set);
+        retain_structurally_clean(set);
     }
-    drop_dominated(&mut set);
+    drop_dominated(set);
     // The syntactic prescreen above misses dominators with more tokens
     // than the dominated signature; the analyzer's proved verdicts catch
     // the remainder, so the published artifact clears the A001/A002 gate.
-    crate::analyze::drop_dead(&mut set, crate::detect::MatchMode::Conjunction);
-    timings.prune_ms = ms_since(t);
-    *LAST_TIMINGS.lock().unwrap_or_else(|e| e.into_inner()) = Some(timings);
-    set
+    crate::analyze::drop_dead(set, crate::detect::MatchMode::Conjunction);
+    generated.timings.prune_ms = ms_since(t);
+    generated
 }
 
 /// The deploy gate's structural half: drop every signature carrying an
@@ -879,7 +864,7 @@ mod tests {
             .filter(|(i, _)| !sensitive[*i])
             .map(|(_, p)| p)
             .collect();
-        let set = regeneration_pass(&sample, &normal, &PipelineConfig::default());
+        let set = regeneration_pass(&sample, &normal, &PipelineConfig::default()).set;
         assert!(!set.is_empty());
         crate::audit::deploy_check(&set).expect("clean regeneration is gate-clean");
     }
@@ -897,7 +882,7 @@ mod tests {
             .filter(|(i, _)| !sensitive[*i])
             .map(|(_, p)| p)
             .collect();
-        let set = regeneration_pass(&sample, &normal, &PipelineConfig::default());
+        let set = regeneration_pass(&sample, &normal, &PipelineConfig::default()).set;
         let dead = crate::analyze::dead_signatures(&set, crate::detect::MatchMode::Conjunction);
         assert!(dead.is_empty(), "proved-dead survivors: {dead:?}");
     }
@@ -1179,8 +1164,7 @@ mod tests {
         }
     }
 
-    /// `regeneration_pass` parks its stage timings for the reporter;
-    /// `take_last_timings` drains them exactly once.
+    /// `regeneration_pass` returns its stage timings with the set.
     #[test]
     fn regeneration_pass_records_stage_timings() {
         let (packets, labels) = mini_dataset();
@@ -1196,14 +1180,13 @@ mod tests {
             .filter(|&(_, &l)| !l)
             .map(|(p, _)| p)
             .collect();
-        let _ = take_last_timings();
-        let set = regeneration_pass(&sample, &normal, &PipelineConfig::default());
-        assert!(!set.is_empty());
-        let t = take_last_timings().expect("pass records timings");
-        assert!(t.matrix_ms >= 0.0 && t.total_ms() >= t.matrix_ms);
+        let pass = regeneration_pass(&sample, &normal, &PipelineConfig::default());
+        assert!(!pass.set.is_empty());
+        let t = pass.timings;
+        assert!(t.matrix_ms > 0.0 && t.prune_ms > 0.0, "{t:?}");
+        assert!(t.total_ms() >= t.matrix_ms + t.prune_ms);
         let line = t.event_line();
         assert!(line.contains("matrix") && line.contains("prune"), "{line}");
-        assert!(take_last_timings().is_none(), "take must drain");
     }
 
     #[test]

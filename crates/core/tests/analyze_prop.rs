@@ -218,7 +218,7 @@ fn diff_of_consecutive_regenerations_has_flip_witnesses() {
             .take(200)
             .map(|p| &p.packet)
             .collect();
-        generations.push(regeneration_pass(&sample, &normal, &config));
+        generations.push(regeneration_pass(&sample, &normal, &config).set);
     }
     let (old, new) = (&generations[0], &generations[1]);
     assert!(!old.is_empty() && !new.is_empty());

@@ -66,7 +66,7 @@ pub use state::{
 };
 pub use supervise::{DefaultRunner, PipelineRunner, RegenerationSupervisor, SupervisorConfig};
 pub use wal::{DurabilityMode, WalConfig, WalRecoveryReport, WalStore};
-pub use store::{InstallError, SignatureServer, SignatureStore, StoreHealth};
+pub use store::{InstallError, Publication, SignatureServer, SignatureStore, StoreHealth};
 pub use transport::{
     Fetched, FaultyTransport, InProcessTransport, RetryPolicy, SyncClient, SyncEvent,
     SyncEventKind, SyncOutcome, SyncReport, Transport, TransportError,

@@ -21,14 +21,17 @@
 //!
 //! On-disk durability is handled by [`SnapshotVault`]: checksummed,
 //! generation-numbered snapshot files (`LEAKSNAP/1` header) written
-//! temp-then-rename so a crash at any point leaves either the old or the
-//! new snapshot fully intact, and a restore path that walks generations
-//! newest-first, discarding anything the checksum disowns, until it finds
-//! the last known good state.
+//! through `leaksig-faults`' shared temp-sync-rename helper
+//! ([`atomic_replace`]) on a [`DiskIo`], so a crash at any point leaves
+//! either the old or the new snapshot fully intact, and a restore path
+//! that walks generations newest-first, discarding anything the checksum
+//! disowns, until it finds the last known good state. Because all vault
+//! I/O goes through [`DiskIo`], the vault is crash-tested with the same
+//! `FaultyDisk` model as the WAL store.
 
 use crate::policy::{PolicyEngine, UserChoice};
 use crate::store::{SignatureStore, StoreHealth};
-use leaksig_faults::CrashPoint;
+use leaksig_faults::{atomic_replace, sweep_temps, DiskIo, RealDisk};
 use std::path::{Path, PathBuf};
 
 const POLICY_MAGIC: &str = "LEAKPOLICY/1";
@@ -127,17 +130,22 @@ pub fn decode_store(text: &str) -> Result<SignatureStore, PersistError> {
 /// ...
 /// ```
 ///
-/// via a temp file renamed into place, so the final path only ever holds
-/// a complete snapshot on a POSIX filesystem. Restore walks generations
-/// newest-first and verifies length + checksum + decode before trusting
-/// one; a torn or bit-rotted newest snapshot therefore *rolls back* to
-/// the previous generation instead of corrupting the device.
-#[derive(Debug)]
+/// through [`atomic_replace`] (temp file, fsync, rename), so the final
+/// path only ever holds a complete snapshot. Every file operation goes
+/// through a [`DiskIo`], the same boundary [`crate::WalStore`] uses, so
+/// the vault runs against `leaksig-faults`' crash and sick-disk model.
+/// Restore walks generations newest-first and verifies length, checksum
+/// and decode before trusting one; a torn or bit-rotted newest snapshot
+/// therefore *rolls back* to the previous generation instead of
+/// corrupting the device. The newest three generations are retained.
 pub struct SnapshotVault {
     dir: PathBuf,
-    /// Good generations retained after a save (older ones are pruned).
-    keep: usize,
+    disk: Box<dyn DiskIo>,
 }
+
+/// Good generations a [`SnapshotVault`] retains after a save (older ones
+/// are pruned).
+const KEEP: u64 = 3;
 
 /// What [`SnapshotVault::restore_store`] found on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,42 +167,25 @@ impl RestoreReport {
 }
 
 impl SnapshotVault {
-    /// A vault rooted at `dir` (created if absent), retaining the 3 most
-    /// recent good generations.
+    /// A vault rooted at `dir` (created if absent) on the real
+    /// filesystem.
     pub fn new(dir: impl Into<PathBuf>) -> Result<SnapshotVault, PersistError> {
-        Self::with_retention(dir, 3)
+        SnapshotVault::open(dir, Box::new(RealDisk))
     }
 
-    /// A vault retaining `keep` generations (minimum 1).
-    pub fn with_retention(dir: impl Into<PathBuf>, keep: usize) -> Result<SnapshotVault, PersistError> {
+    /// A vault rooted at `dir` (created if absent) doing all its I/O
+    /// through `disk`. Sweeps the `.tmp` debris of interrupted saves, so
+    /// a process that crashes on every save cannot grow the directory
+    /// without bound.
+    pub fn open(
+        dir: impl Into<PathBuf>,
+        mut disk: Box<dyn DiskIo>,
+    ) -> Result<SnapshotVault, PersistError> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)
+        disk.create_dir_all(&dir)
             .map_err(|e| PersistError(format!("cannot create {}: {e}", dir.display())))?;
-        let vault = SnapshotVault {
-            dir,
-            keep: keep.max(1),
-        };
-        vault.sweep_temps();
-        Ok(vault)
-    }
-
-    /// Remove orphaned `*.tmp` files (crashes between temp-write and
-    /// rename). `prune` only runs after a *successful* save, so a
-    /// process that crashes on every save attempt would otherwise leave
-    /// one orphan per attempt and grow the directory without bound;
-    /// sweeping on open caps the debris at one crash-loop's worth.
-    /// Best-effort: an unremovable orphan is harmless to restore, which
-    /// never reads `.tmp` files.
-    fn sweep_temps(&self) {
-        let Ok(rd) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in rd.filter_map(|e| e.ok()) {
-            let path = entry.path();
-            if path.extension().is_some_and(|ext| ext == "tmp") {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
+        sweep_temps(disk.as_mut(), &dir);
+        Ok(SnapshotVault { dir, disk })
     }
 
     fn snap_path(&self, generation: u64) -> PathBuf {
@@ -202,34 +193,22 @@ impl SnapshotVault {
     }
 
     /// Generations currently on disk, ascending (content unverified).
-    pub fn generations(&self) -> Vec<u64> {
-        let mut gens: Vec<u64> = match std::fs::read_dir(&self.dir) {
-            Err(_) => return Vec::new(),
-            Ok(rd) => rd
-                .filter_map(|e| e.ok())
-                .filter_map(|e| parse_generation(&e.path()))
-                .collect(),
-        };
+    pub fn generations(&mut self) -> Vec<u64> {
+        let mut gens: Vec<u64> = self
+            .disk
+            .read_dir(&self.dir)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|path| parse_generation(path))
+            .collect();
         gens.sort_unstable();
         gens.dedup();
         gens
     }
 
     /// Persist `store` as the next generation. Returns the generation
-    /// written.
-    pub fn save_store(&self, store: &SignatureStore) -> Result<u64, PersistError> {
-        self.save_store_with_crash(store, None)
-            .map(|g| g.expect("no crash injected"))
-    }
-
-    /// [`SnapshotVault::save_store`] with an injected crash for chaos
-    /// testing. Returns `Ok(None)` when the simulated power loss struck
-    /// (the vault may now hold a torn file for restore to reject).
-    pub fn save_store_with_crash(
-        &self,
-        store: &SignatureStore,
-        crash: Option<CrashPoint>,
-    ) -> Result<Option<u64>, PersistError> {
+    /// written. On `Err` the previous generations are untouched.
+    pub fn save_store(&mut self, store: &SignatureStore) -> Result<u64, PersistError> {
         let generation = self.generations().last().copied().unwrap_or(0) + 1;
         let body = encode_store(store);
         let mut snap = format!(
@@ -239,54 +218,17 @@ impl SnapshotVault {
         );
         snap.push_str(&body);
 
-        let final_path = self.snap_path(generation);
-        let tmp_path = self.dir.join(format!("store.{generation}.snap.tmp"));
-        let write = |path: &Path, bytes: &[u8]| {
-            std::fs::write(path, bytes)
-                .map_err(|e| PersistError(format!("cannot write {}: {e}", path.display())))
-        };
-
-        match crash {
-            Some(CrashPoint::BeforeWrite) => return Ok(None),
-            Some(CrashPoint::TornWrite { keep_permille }) => {
-                // A non-atomic writer died mid-flush: partial bytes in
-                // the final path. Restore must catch this via checksum.
-                let mut torn = snap.into_bytes();
-                leaksig_faults::truncate_bytes(&mut torn, keep_permille);
-                write(&final_path, &torn)?;
-                return Ok(None);
-            }
-            Some(CrashPoint::BeforeRename) => {
-                // Crash between temp write and rename: orphan temp only.
-                write(&tmp_path, snap.as_bytes())?;
-                return Ok(None);
-            }
-            None => {}
-        }
-
-        write(&tmp_path, snap.as_bytes())?;
-        std::fs::rename(&tmp_path, &final_path)
-            .map_err(|e| PersistError(format!("cannot rename into {}: {e}", final_path.display())))?;
-        self.prune(generation);
-        Ok(Some(generation))
-    }
-
-    /// Drop generations older than the retention window, plus any orphan
-    /// temp files from interrupted saves.
-    fn prune(&self, newest: u64) {
+        let path = self.snap_path(generation);
+        atomic_replace(self.disk.as_mut(), &path, snap.as_bytes())
+            .map_err(|e| PersistError(format!("cannot save {}: {e}", path.display())))?;
+        // Retention, best effort: a leftover old generation only costs
+        // bytes.
         for gen in self.generations() {
-            if gen + self.keep as u64 <= newest {
-                let _ = std::fs::remove_file(self.snap_path(gen));
+            if gen + KEEP <= generation {
+                let _ = self.disk.remove(&self.snap_path(gen));
             }
         }
-        if let Ok(rd) = std::fs::read_dir(&self.dir) {
-            for entry in rd.filter_map(|e| e.ok()) {
-                let path = entry.path();
-                if path.extension().is_some_and(|e| e == "tmp") {
-                    let _ = std::fs::remove_file(&path);
-                }
-            }
-        }
+        Ok(generation)
     }
 
     /// Restore the newest verifiable snapshot.
@@ -298,26 +240,23 @@ impl SnapshotVault {
     /// on an empty store — marked [`StoreHealth::Corrupt`] if damaged
     /// snapshots were present (so the gate can fail closed), or
     /// [`StoreHealth::Empty`] on a genuinely fresh device.
-    pub fn restore_store(&self) -> (SignatureStore, RestoreReport) {
+    pub fn restore_store(&mut self) -> (SignatureStore, RestoreReport) {
         let mut skipped = 0usize;
         for gen in self.generations().into_iter().rev() {
-            let path = self.snap_path(gen);
-            let Ok(bytes) = std::fs::read(&path) else {
-                skipped += 1;
-                continue;
-            };
-            match verify_snapshot(&bytes, gen) {
-                Ok(body) => match decode_store(body) {
-                    Ok(store) => {
-                        let report = RestoreReport {
-                            generation: Some(gen),
-                            skipped_corrupt: skipped,
-                            health: store.health(),
-                        };
-                        return (store, report);
-                    }
-                    Err(_) => skipped += 1,
-                },
+            let restored = self
+                .disk
+                .read(&self.snap_path(gen))
+                .map_err(|e| PersistError(e.to_string()))
+                .and_then(|bytes| decode_store(verify_snapshot(&bytes, gen)?));
+            match restored {
+                Ok(store) => {
+                    let report = RestoreReport {
+                        generation: Some(gen),
+                        skipped_corrupt: skipped,
+                        health: store.health(),
+                    };
+                    return (store, report);
+                }
                 Err(_) => skipped += 1,
             }
         }
@@ -393,6 +332,7 @@ mod tests {
     use super::*;
     use crate::store::SignatureServer;
     use leaksig_core::prelude::*;
+    use leaksig_faults::{CrashFlavor, DiskFaultControls, FaultyDisk};
     use leaksig_http::RequestBuilder;
     use std::net::Ipv4Addr;
 
@@ -490,7 +430,7 @@ mod tests {
     #[test]
     fn vault_round_trip_and_retention() {
         let dir = temp_vault_dir("roundtrip");
-        let vault = SnapshotVault::new(&dir).unwrap();
+        let mut vault = SnapshotVault::new(&dir).unwrap();
 
         // No snapshots yet: a fresh device, not a corrupt one.
         let (empty, report) = vault.restore_store();
@@ -514,23 +454,27 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn torn_write_rolls_back_to_last_known_good() {
-        use leaksig_faults::CrashPoint;
-        let dir = temp_vault_dir("torn");
-        let vault = SnapshotVault::new(&dir).unwrap();
-        vault.save_store(&armed_store(1)).unwrap();
+    fn temp_files(dir: &Path) -> Vec<PathBuf> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "tmp"))
+            .collect()
+    }
 
-        // Power loss mid-write: half the bytes of generation 2 land in
-        // the final path.
-        let crashed = vault
-            .save_store_with_crash(
-                &armed_store(2),
-                Some(CrashPoint::TornWrite { keep_permille: 500 }),
-            )
-            .unwrap();
-        assert_eq!(crashed, None);
-        assert_eq!(vault.generations(), vec![1, 2], "torn file is present");
+    #[test]
+    fn torn_newest_snapshot_rolls_back_to_last_known_good() {
+        let dir = temp_vault_dir("torn");
+        let mut vault = SnapshotVault::new(&dir).unwrap();
+        vault.save_store(&armed_store(1)).unwrap();
+        vault.save_store(&armed_store(2)).unwrap();
+
+        // Half the bytes of generation 2 survive (a non-atomic copy, a
+        // dying flash cell): restore must catch it via the checksum.
+        let path = dir.join("store.2.snap");
+        let mut bytes = std::fs::read(&path).unwrap();
+        leaksig_faults::truncate_bytes(&mut bytes, 500);
+        std::fs::write(&path, &bytes).unwrap();
 
         let (restored, report) = vault.restore_store();
         assert_eq!(report.generation, Some(1), "rolled back past the torn file");
@@ -541,62 +485,137 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A crash before, during or after any I/O step of a save restores
+    /// the old or the new generation in full, and the next open leaves
+    /// no `.tmp` behind.
     #[test]
-    fn crash_before_rename_preserves_old_state() {
-        use leaksig_faults::CrashPoint;
-        let dir = temp_vault_dir("prerename");
-        let vault = SnapshotVault::new(&dir).unwrap();
-        vault.save_store(&armed_store(1)).unwrap();
+    fn crash_at_any_save_step_keeps_old_or_new_generation() {
+        let dir = temp_vault_dir("crashsave");
+        for flavor in CrashFlavor::ALL {
+            // write .tmp, sync, rename: the three mutating steps.
+            for step in 0..3 {
+                let _ = std::fs::remove_dir_all(&dir);
+                SnapshotVault::new(&dir)
+                    .unwrap()
+                    .save_store(&armed_store(1))
+                    .unwrap();
+                let (disk, ctl) = FaultyDisk::new(RealDisk);
+                let mut vault = SnapshotVault::open(&dir, Box::new(disk)).unwrap();
+                ctl.arm_crash(ctl.mutations() + step, flavor);
+                assert!(vault.save_store(&armed_store(2)).is_err());
+                assert!(ctl.crashed());
 
-        for crash in [CrashPoint::BeforeWrite, CrashPoint::BeforeRename] {
-            let crashed = vault
-                .save_store_with_crash(&armed_store(9), Some(crash))
-                .unwrap();
-            assert_eq!(crashed, None);
-            let (restored, report) = vault.restore_store();
-            assert_eq!(report.generation, Some(1));
-            assert_eq!(report.skipped_corrupt, 0, "atomic protocol: no damage");
-            assert_eq!(restored.version(), 1);
+                let mut vault = SnapshotVault::new(&dir).unwrap();
+                let (restored, report) = vault.restore_store();
+                let label = format!("crash-{} at step {step}", flavor.label());
+                let want = if step == 2 && flavor == CrashFlavor::After {
+                    2
+                } else {
+                    1
+                };
+                assert_eq!(restored.version(), want, "{label}");
+                assert_eq!(
+                    report.skipped_corrupt, 0,
+                    "{label}: atomic protocol, no damage"
+                );
+                assert_eq!(restored.health(), StoreHealth::Fresh, "{label}");
+                assert!(temp_files(&dir).is_empty(), "{label}: debris swept on open");
+            }
         }
-        // The next clean save sweeps the orphan temp file.
-        vault.save_store(&armed_store(2)).unwrap();
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "orphan temp files pruned");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn crash_loop_does_not_grow_the_vault_unboundedly() {
-        use leaksig_faults::CrashPoint;
         let dir = temp_vault_dir("crashloop");
         // A process that dies between temp-write and rename on *every*
         // save, restarting (reopening the vault) each time. Without the
         // open-time sweep each round would strand one more `.tmp`.
         for round in 0..20 {
-            let vault = SnapshotVault::new(&dir).unwrap();
-            let crashed = vault
-                .save_store_with_crash(&armed_store(round), Some(CrashPoint::BeforeRename))
-                .unwrap();
-            assert_eq!(crashed, None);
+            let (disk, ctl) = FaultyDisk::new(RealDisk);
+            let mut vault = SnapshotVault::open(&dir, Box::new(disk)).unwrap();
+            ctl.arm_crash(ctl.mutations() + 2, CrashFlavor::Before);
+            assert!(vault.save_store(&armed_store(round)).is_err());
             let files = std::fs::read_dir(&dir).unwrap().count();
             assert!(files <= 1, "round {round}: {files} files on disk");
         }
         // And the debris never confuses restore.
-        let vault = SnapshotVault::new(&dir).unwrap();
+        let mut vault = SnapshotVault::new(&dir).unwrap();
         let (_, report) = vault.restore_store();
         assert_eq!(report.generation, None);
         assert_eq!(report.skipped_corrupt, 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A sick but live disk (failing fsync, full volume, short writes)
+    /// fails the save, keeps the previous generation restorable, and
+    /// leaves no temp file.
+    #[test]
+    fn sick_disk_fails_the_save_and_keeps_the_previous_generation() {
+        type Toggle = fn(&DiskFaultControls, bool);
+        let toggles: [(&str, Toggle); 3] = [
+            ("fsync", DiskFaultControls::set_fail_sync),
+            ("enospc", DiskFaultControls::set_fail_space),
+            ("shortwrite", DiskFaultControls::set_short_writes),
+        ];
+        for (label, toggle) in toggles {
+            let dir = temp_vault_dir(&format!("sick-{label}"));
+            let (disk, ctl) = FaultyDisk::new(RealDisk);
+            let mut vault = SnapshotVault::open(&dir, Box::new(disk)).unwrap();
+            vault.save_store(&armed_store(1)).unwrap();
+
+            toggle(&ctl, true);
+            assert!(vault.save_store(&armed_store(2)).is_err(), "{label}");
+            assert!(temp_files(&dir).is_empty(), "{label}: temp file left");
+            let (restored, report) = vault.restore_store();
+            assert_eq!(report.generation, Some(1), "{label}");
+            assert_eq!(restored.version(), 1, "{label}");
+            assert_eq!(restored.health(), StoreHealth::Fresh, "{label}");
+
+            // Healed, the next save lands as generation 2.
+            toggle(&ctl, false);
+            assert_eq!(vault.save_store(&armed_store(2)).unwrap(), 2, "{label}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    /// A `LEAKSNAP/1` snapshot written by an earlier release of the vault
+    /// (before it moved onto `DiskIo`) still restores, and saving the
+    /// restored store writes the same bytes again.
+    #[test]
+    fn snapshot_from_an_earlier_release_restores_byte_identically() {
+        const FIXTURE: &[u8] = b"LEAKSNAP/1 1 142 2ed06ebe1d874492fdd6c84c8ec9f2217cf3157b\n\
+            LEAKSTORE/1 7\n\
+            LEAKSIG/1\n\
+            sig 0 2\n\
+            host ad-maker.info\n\
+            tok rline 474554202f67657461643f696d65693d33353531393530303030303030313726736c6f743d 0\n\
+            end\n";
+        let dir = temp_vault_dir("fixture");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("store.1.snap"), FIXTURE).unwrap();
+
+        let mut vault = SnapshotVault::new(&dir).unwrap();
+        let (restored, report) = vault.restore_store();
+        assert_eq!(report.generation, Some(1));
+        assert_eq!(report.skipped_corrupt, 0);
+        assert_eq!(restored.version(), 7);
+        assert_eq!(restored.health(), StoreHealth::Fresh);
+        assert_eq!(restored.signature_count(), 1);
+        assert_eq!(restored.wire_text(), armed_store(7).wire_text());
+
+        assert_eq!(vault.save_store(&restored).unwrap(), 2);
+        let rewritten = std::fs::read(dir.join("store.2.snap")).unwrap();
+        let expected =
+            String::from_utf8_lossy(FIXTURE).replacen("LEAKSNAP/1 1 ", "LEAKSNAP/1 2 ", 1);
+        assert_eq!(String::from_utf8_lossy(&rewritten), expected);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn all_generations_corrupt_restores_empty_and_flags_it() {
         let dir = temp_vault_dir("allbad");
-        let vault = SnapshotVault::new(&dir).unwrap();
+        let mut vault = SnapshotVault::new(&dir).unwrap();
         vault.save_store(&armed_store(1)).unwrap();
         vault.save_store(&armed_store(2)).unwrap();
         // Bit-rot both snapshots on disk.
@@ -619,7 +638,7 @@ mod tests {
     #[test]
     fn snapshot_header_lies_are_rejected() {
         let dir = temp_vault_dir("lies");
-        let vault = SnapshotVault::new(&dir).unwrap();
+        let mut vault = SnapshotVault::new(&dir).unwrap();
         vault.save_store(&armed_store(1)).unwrap();
         let path = dir.join("store.1.snap");
         let original = std::fs::read_to_string(&path).unwrap();

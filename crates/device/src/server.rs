@@ -23,7 +23,7 @@
 //! the suspicious group".
 
 use crate::state::{Durability, MemoryStore, StateOp, StateStore};
-use crate::store::SignatureServer;
+use crate::store::{Publication, SignatureServer};
 use leaksig_core::payload::PayloadCheck;
 use leaksig_core::prelude::*;
 use leaksig_http::{parse_request_limited, HttpPacket, ParseError, ParseLimits};
@@ -85,7 +85,7 @@ pub struct ServerStats {
 /// collapsed into one. The supervised variants
 /// ([`crate::RegenerationSupervisor`]) add two more terminal states for
 /// runs the supervisor had to kill.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum RegenerateOutcome {
     /// A gated set was published at this version.
     Published {
@@ -93,6 +93,11 @@ pub enum RegenerateOutcome {
         version: u64,
         /// Signatures in the published set.
         signatures: usize,
+        /// Where the regeneration pass spent its time.
+        timings: StageTimings,
+        /// Semantic diff against the generation this one replaced (see
+        /// [`crate::Publication::diff`]).
+        diff: Option<GenerationDiff>,
     },
     /// The reservoir is empty; nothing to cluster yet.
     NoTraffic,
@@ -629,19 +634,21 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
     /// a restarted server can republish the exact generation.
     pub(crate) fn account_publish(
         &self,
-        publish: Result<u64, Vec<Diagnostic>>,
-        set: &SignatureSet,
+        publish: Result<Publication, Vec<Diagnostic>>,
+        generated: GeneratedSignatures,
     ) -> RegenerateOutcome {
         let mut st = self.state.lock();
         match publish {
-            Ok(version) => {
+            Ok(Publication { version, diff }) => {
                 st.store.apply(&[StateOp::Publish {
                     version,
-                    wire: leaksig_core::wire::encode(set),
+                    wire: leaksig_core::wire::encode(&generated.set),
                 }]);
                 RegenerateOutcome::Published {
                     version,
-                    signatures: set.len(),
+                    signatures: generated.set.len(),
+                    timings: generated.timings,
+                    diff,
                 }
             }
             Err(diags) => {
@@ -669,8 +676,8 @@ impl<T: Copy + Eq + Send> CollectionServer<T> {
         };
         let sample_refs: Vec<&HttpPacket> = sample.iter().collect();
         let normal_refs: Vec<&HttpPacket> = normal.iter().collect();
-        let set = regeneration_pass(&sample_refs, &normal_refs, &self.config);
-        self.account_publish(server.publish(&set), &set)
+        let generated = regeneration_pass(&sample_refs, &normal_refs, &self.config);
+        self.account_publish(server.publish(&generated.set), generated)
     }
 
     /// Counter snapshot.
@@ -1121,9 +1128,8 @@ mod tests {
     fn regenerate_publishes_working_signatures() {
         let srv = server();
         let publisher = SignatureServer::new();
-        assert_eq!(
-            srv.regenerate(20, &publisher),
-            RegenerateOutcome::NoTraffic,
+        assert!(
+            matches!(srv.regenerate(20, &publisher), RegenerateOutcome::NoTraffic),
             "nothing ingested yet"
         );
         assert_eq!(srv.stats().regenerations, 0, "no-traffic runs don't count");
@@ -1136,12 +1142,20 @@ mod tests {
         let RegenerateOutcome::Published {
             version,
             signatures,
+            timings,
+            diff,
         } = outcome
         else {
             panic!("expected publish, got {outcome:?}");
         };
         assert_eq!(version, 1);
         assert!(signatures >= 1);
+        // The pass's timings and the publish's diff ride in the outcome.
+        assert!(timings.matrix_ms > 0.0, "{timings:?}");
+        assert_eq!(
+            diff.expect("first publish diffs vs empty").added.len(),
+            signatures
+        );
         assert_eq!(srv.stats().regenerations, 1);
         assert_eq!(srv.stats().rejected_publishes, 0);
 

@@ -326,6 +326,13 @@ impl<'a> Cursor<'a> {
         self.pos >= self.data.len()
     }
 
+    /// Capacity to reserve for `declared` items: every encoded item
+    /// takes at least one byte, so a count larger than the bytes left is
+    /// a lie that must not size an allocation.
+    fn capacity_for(&self, declared: usize) -> usize {
+        declared.min(self.data.len() - self.pos)
+    }
+
     /// The next `\n`-terminated line as UTF-8 (newline consumed, not
     /// returned).
     fn line(&mut self) -> Result<&'a str, StateCodecError> {
@@ -438,7 +445,7 @@ fn decode_packet(cur: &mut Cursor<'_>) -> Result<HttpPacket, StateCodecError> {
     let method = Method::from_token(cur.take_str(method_len)?);
     let target = cur.take_str(target_len)?.to_string();
     let version = cur.take_str(version_len)?.to_string();
-    let mut headers = Vec::with_capacity(n_headers);
+    let mut headers = Vec::with_capacity(cur.capacity_for(n_headers));
     for _ in 0..n_headers {
         let mut hf = Fields::of(cur.line()?);
         let name_len = hf.usize()?;
@@ -797,11 +804,11 @@ pub fn decode_state(data: &[u8]) -> Result<DurableState, StateCodecError> {
         None
     };
 
-    let mut reservoir = Vec::with_capacity(n_reservoir);
+    let mut reservoir = Vec::with_capacity(cur.capacity_for(n_reservoir));
     for _ in 0..n_reservoir {
         reservoir.push(decode_packet(&mut cur)?);
     }
-    let mut ledger = VecDeque::with_capacity(n_ledger);
+    let mut ledger = VecDeque::with_capacity(cur.capacity_for(n_ledger));
     for _ in 0..n_ledger {
         ledger.push_back(decode_record(&mut cur)?);
     }

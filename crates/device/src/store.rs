@@ -52,11 +52,17 @@ impl From<WireError> for InstallError {
 #[derive(Debug, Default)]
 pub struct SignatureServer {
     inner: RwLock<(u64, String)>,
-    /// Semantic diff of the most recent gated publish against its
-    /// predecessor, for the operator to review ([`take_last_diff`]).
-    ///
-    /// [`take_last_diff`]: SignatureServer::take_last_diff
-    last_diff: parking_lot::Mutex<Option<GenerationDiff>>,
+}
+
+/// A gated publish: the version assigned and what changed.
+#[derive(Debug, Clone)]
+pub struct Publication {
+    /// Version the publisher assigned.
+    pub version: u64,
+    /// Semantic diff against the generation this one replaced, for the
+    /// operator to review. `None` only when the replaced wire text does
+    /// not decode (a [`SignatureServer::restore`] of foreign text).
+    pub diff: Option<GenerationDiff>,
 }
 
 impl SignatureServer {
@@ -64,30 +70,26 @@ impl SignatureServer {
     pub fn new() -> Self {
         SignatureServer {
             inner: RwLock::new((0, wire::encode(&SignatureSet::default()))),
-            last_diff: parking_lot::Mutex::new(None),
         }
     }
 
     /// Publish a new signature set, bumping the version. Sets carrying
     /// Error-level audit findings are refused: a server distributing a
     /// §VI match-everything signature would turn every device into a
-    /// false-prompt generator. Gated publishes also record the semantic
-    /// diff against the previously published generation (see
-    /// [`SignatureServer::take_last_diff`]). Use
-    /// [`SignatureServer::publish_unchecked`] to bypass the gate
+    /// false-prompt generator. A gated publish returns the semantic diff
+    /// against the previously published generation with the new version.
+    /// Use [`SignatureServer::publish_unchecked`] to bypass the gate
     /// deliberately.
-    pub fn publish(&self, set: &SignatureSet) -> Result<u64, Vec<Diagnostic>> {
+    pub fn publish(&self, set: &SignatureSet) -> Result<Publication, Vec<Diagnostic>> {
         audit::deploy_check(set)?;
         // Diff against the currently published generation before the
-        // version bump (the previous wire text always decodes: it was
-        // produced by `wire::encode`).
+        // version bump.
         let prev_text = self.inner.read().1.clone();
         let diff = wire::decode(&prev_text)
             .ok()
             .map(|prev| diff_generations(&prev, set, MatchMode::Conjunction));
         let version = self.publish_unchecked(set);
-        *self.last_diff.lock() = diff;
-        Ok(version)
+        Ok(Publication { version, diff })
     }
 
     /// [`SignatureServer::publish`] without the deploy gate (for studying
@@ -97,14 +99,6 @@ impl SignatureServer {
         guard.0 += 1;
         guard.1 = wire::encode(set);
         guard.0
-    }
-
-    /// The semantic diff recorded by the most recent gated
-    /// [`SignatureServer::publish`], consumed on read (mirrors the
-    /// pipeline's `take_last_timings` pattern). `None` when no gated
-    /// publish happened since the last call.
-    pub fn take_last_diff(&self) -> Option<GenerationDiff> {
-        self.last_diff.lock().take()
     }
 
     /// Restore a previously published generation verbatim — version and
@@ -371,7 +365,7 @@ mod tests {
         let store = SignatureStore::new();
         assert!(!store.sync(&server).unwrap(), "nothing to fetch yet");
 
-        let v = server.publish(&one_signature_set()).unwrap();
+        let v = server.publish(&one_signature_set()).unwrap().version;
         assert_eq!(v, 1);
         assert!(store.sync(&server).unwrap());
         assert_eq!(store.version(), 1);
@@ -383,31 +377,33 @@ mod tests {
     }
 
     #[test]
-    fn publish_records_generation_diff() {
+    fn publish_returns_generation_diff() {
         let server = SignatureServer::new();
-        assert!(server.take_last_diff().is_none(), "nothing published yet");
-
         let set = one_signature_set();
-        server.publish(&set).unwrap();
-        let d1 = server.take_last_diff().expect("first publish diffs vs empty");
+        let p1 = server.publish(&set).unwrap();
+        assert_eq!(p1.version, 1);
+        let d1 = p1.diff.expect("first publish diffs vs empty");
         assert_eq!(d1.added.len(), set.len(), "everything is new");
         assert!(d1.removed.is_empty());
-        assert!(server.take_last_diff().is_none(), "consumed on read");
 
         // Republish the identical set: an empty diff.
-        server.publish(&set).unwrap();
-        let d2 = server.take_last_diff().unwrap();
+        let d2 = server.publish(&set).unwrap().diff.unwrap();
         assert!(d2.is_empty());
         assert_eq!(d2.unchanged, set.len());
 
         // Publish the empty set: everything removed, with witnesses.
-        server.publish(&SignatureSet::default()).unwrap();
-        let d3 = server.take_last_diff().unwrap();
+        let d3 = server
+            .publish(&SignatureSet::default())
+            .unwrap()
+            .diff
+            .unwrap();
         assert_eq!(d3.removed.len(), set.len());
 
-        // Ungated publishes record no diff.
-        server.publish_unchecked(&set);
-        assert!(server.take_last_diff().is_none());
+        // Replacing undecodable restored text publishes without a diff.
+        server.restore(3, "not a signature set");
+        let p4 = server.publish(&set).unwrap();
+        assert_eq!(p4.version, 4);
+        assert!(p4.diff.is_none());
     }
 
     #[test]
@@ -418,7 +414,7 @@ mod tests {
         store.sync(&server).unwrap();
 
         // Publish an empty set: detection must stop.
-        let v2 = server.publish(&SignatureSet::default()).unwrap();
+        let v2 = server.publish(&SignatureSet::default()).unwrap().version;
         assert_eq!(v2, 2);
         assert!(store.sync(&server).unwrap());
         assert_eq!(store.version(), 2);

@@ -35,13 +35,13 @@ use std::time::Duration;
 /// inline `regenerate` path.
 pub trait PipelineRunner: Send + Sync + 'static {
     /// Cluster `sample`, generate signatures, and validate them against
-    /// `normal` under `config`.
+    /// `normal` under `config`; the stage timings ride along with the set.
     fn run(
         &self,
         sample: &[HttpPacket],
         normal: &[HttpPacket],
         config: &PipelineConfig,
-    ) -> SignatureSet;
+    ) -> GeneratedSignatures;
 }
 
 /// The production pipeline: `leaksig_core`'s `regeneration_pass`.
@@ -54,7 +54,7 @@ impl PipelineRunner for DefaultRunner {
         sample: &[HttpPacket],
         normal: &[HttpPacket],
         config: &PipelineConfig,
-    ) -> SignatureSet {
+    ) -> GeneratedSignatures {
         let sample_refs: Vec<&HttpPacket> = sample.iter().collect();
         let normal_refs: Vec<&HttpPacket> = normal.iter().collect();
         regeneration_pass(&sample_refs, &normal_refs, config)
@@ -146,7 +146,10 @@ impl RegenerationSupervisor {
             };
             let config = server.pipeline_config();
             match self.run_guarded(&sample, &normal, config) {
-                Ok(set) => return server.account_publish(publisher.publish(&set), &set),
+                Ok(generated) => {
+                    let publish = publisher.publish(&generated.set);
+                    return server.account_publish(publish, generated);
+                }
                 Err(failure) => {
                     last_failure = Some(failure);
                     if attempt + 1 == attempts {
@@ -184,7 +187,7 @@ impl RegenerationSupervisor {
         sample: &[HttpPacket],
         normal: &[HttpPacket],
         config: &PipelineConfig,
-    ) -> Result<SignatureSet, Failure> {
+    ) -> Result<GeneratedSignatures, Failure> {
         let (tx, rx) = mpsc::channel();
         let runner = Arc::clone(&self.runner);
         let sample = sample.to_vec();
@@ -195,7 +198,7 @@ impl RegenerationSupervisor {
             let _ = tx.send(result.map_err(panic_message));
         });
         match rx.recv_timeout(Duration::from_millis(self.config.deadline_ms)) {
-            Ok(Ok(set)) => Ok(set),
+            Ok(Ok(generated)) => Ok(generated),
             Ok(Err(message)) => Err(Failure::Panic(message)),
             Err(_) => Err(Failure::Timeout),
         }
@@ -287,7 +290,7 @@ mod tests {
             sample: &[HttpPacket],
             normal: &[HttpPacket],
             config: &PipelineConfig,
-        ) -> SignatureSet {
+        ) -> GeneratedSignatures {
             assert!(
                 !sample.iter().any(|p| p.request_line.path() == "/poison"),
                 "clustering choked on a poison packet"
@@ -300,9 +303,14 @@ mod tests {
     struct StallingRunner;
 
     impl PipelineRunner for StallingRunner {
-        fn run(&self, _: &[HttpPacket], _: &[HttpPacket], _: &PipelineConfig) -> SignatureSet {
+        fn run(
+            &self,
+            _: &[HttpPacket],
+            _: &[HttpPacket],
+            _: &PipelineConfig,
+        ) -> GeneratedSignatures {
             std::thread::sleep(Duration::from_millis(250));
-            SignatureSet::default()
+            GeneratedSignatures::default()
         }
     }
 
@@ -326,10 +334,10 @@ mod tests {
     fn empty_reservoir_is_no_traffic() {
         let srv = server();
         let sup = RegenerationSupervisor::new(SupervisorConfig::default());
-        assert_eq!(
+        assert!(matches!(
             sup.regenerate(&srv, 20, &SignatureServer::new()),
             RegenerateOutcome::NoTraffic
-        );
+        ));
     }
 
     #[test]
@@ -385,7 +393,12 @@ mod tests {
         // supervisor reports the panic instead of eating the reservoir.
         struct AlwaysPanics;
         impl PipelineRunner for AlwaysPanics {
-            fn run(&self, _: &[HttpPacket], _: &[HttpPacket], _: &PipelineConfig) -> SignatureSet {
+            fn run(
+                &self,
+                _: &[HttpPacket],
+                _: &[HttpPacket],
+                _: &PipelineConfig,
+            ) -> GeneratedSignatures {
                 panic!("synthetic pipeline defect");
             }
         }
@@ -430,9 +443,10 @@ mod tests {
             Arc::new(StallingRunner),
         );
         let publisher = SignatureServer::new();
-        assert_eq!(
-            sup.regenerate(&srv, 20, &publisher),
-            RegenerateOutcome::TimedOut { deadline_ms: 20 }
+        let outcome = sup.regenerate(&srv, 20, &publisher);
+        assert!(
+            matches!(outcome, RegenerateOutcome::TimedOut { deadline_ms: 20 }),
+            "{outcome:?}"
         );
         assert_eq!(publisher.version(), 0);
         assert_eq!(srv.reservoir_len(), 20, "reservoir untouched");

@@ -24,12 +24,13 @@
 //!
 //! **Compaction.** Every `compact_every` applied ops (or on an explicit
 //! [`StateStore::compact`]) the current state is written to
-//! `state.<g+1>.snap.tmp`, fsynced, then renamed into place — the same
-//! temp-then-rename protocol as [`crate::persist::SnapshotVault`]. Only
-//! after the rename does the store switch appends to `wal.<g+1>.log`,
-//! clear its buffer, and prune generations older than `keep`. A crash at
-//! any point leaves either the old generation intact or the new snapshot
-//! fully in place; the `.tmp` is debris swept by the next open.
+//! `state.<g+1>.snap` through [`atomic_replace`] (`.tmp`, fsync, rename)
+//! — the one temp-sync-rename helper [`crate::persist::SnapshotVault`]
+//! uses too. Only after the rename does the store switch appends to
+//! `wal.<g+1>.log`, clear its buffer, and prune generations older than
+//! `keep`. A crash at any point leaves either the old generation intact
+//! or the new snapshot fully in place; a stranded `.tmp` is debris that
+//! the next open removes with [`sweep_temps`].
 //!
 //! **Recovery.** [`WalStore::open`] sweeps `.tmp` files, picks the
 //! newest snapshot whose frame checksum verifies and whose payload
@@ -54,7 +55,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use leaksig_core::wire::{frame_bytes, unframe_bytes_partial, BytesProgress};
-use leaksig_faults::DiskIo;
+use leaksig_faults::{atomic_replace, sweep_temps, DiskIo};
 
 use crate::state::{
     apply_op, decode_ops, decode_state, encode_op, encode_state, ApplyOutcome, Durability,
@@ -202,27 +203,19 @@ impl WalStore {
         let mut report = WalRecoveryReport::default();
         disk.create_dir_all(&dir)?;
 
-        let mut snapshots: Vec<(u64, PathBuf)> = Vec::new();
-        let mut temps: Vec<PathBuf> = Vec::new();
-        for path in disk.read_dir(&dir)? {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if name.ends_with(".tmp") {
-                temps.push(path.clone());
-            } else if let Some(g) = parse_gen(name, "state.", ".snap") {
-                snapshots.push((g, path.clone()));
-            }
-        }
-
         // Crash debris from interrupted compactions: sweep it so a
         // crash loop cannot grow the directory unboundedly. Best-effort
         // (a failed sweep never blocks recovery).
-        for tmp in &temps {
-            if disk.remove(tmp).is_ok() {
-                report.swept_temps += 1;
-            }
-        }
+        report.swept_temps = sweep_temps(disk.as_mut(), &dir);
+
+        let mut snapshots: Vec<(u64, PathBuf)> = disk
+            .read_dir(&dir)?
+            .into_iter()
+            .filter_map(|path| {
+                let name = path.file_name()?.to_str()?;
+                Some((parse_gen(name, "state.", ".snap")?, path))
+            })
+            .collect();
 
         // Newest snapshot whose frame verifies and whose payload
         // decodes wins; anything newer that fails is skipped (an
@@ -360,24 +353,15 @@ impl WalStore {
         }
     }
 
-    /// Write `state.<g+1>.snap` via temp-then-rename, switch appends to
+    /// Write `state.<g+1>.snap` via [`atomic_replace`], switch appends to
     /// `wal.<g+1>.log`, prune old generations. On any failure the store
     /// keeps its previous durability level (a failed compaction while
-    /// healthy does not degrade: the current WAL is still good) and the
-    /// temp file is best-effort removed.
+    /// healthy does not degrade: the current WAL is still good).
     fn compact_inner(&mut self) {
         let next = self.generation + 1;
-        let final_path = self.dir.join(snap_name(next));
-        let tmp_path = self.dir.join(format!("{}.tmp", snap_name(next)));
         let bytes = frame_bytes(&encode_state(&self.state));
-
-        let landed = self
-            .disk
-            .write(&tmp_path, &bytes)
-            .and_then(|()| self.disk.sync(&tmp_path))
-            .and_then(|()| self.disk.rename(&tmp_path, &final_path));
-        if landed.is_err() {
-            let _ = self.disk.remove(&tmp_path);
+        let path = self.dir.join(snap_name(next));
+        if atomic_replace(self.disk.as_mut(), &path, &bytes).is_err() {
             return;
         }
 
@@ -390,18 +374,16 @@ impl WalStore {
         self.degraded = false;
 
         // Retention: keep the newest `keep` generations (snapshot + its
-        // paired WAL) as recovery fallbacks, sweep everything older and
-        // any `.tmp` debris. Best-effort — leftover files only cost
-        // bytes, never correctness.
+        // paired WAL) as recovery fallbacks and sweep everything older.
+        // Best-effort — leftover files only cost bytes, never
+        // correctness.
         let cutoff = next.saturating_sub(self.config.keep as u64 - 1);
         if let Ok(entries) = self.disk.read_dir(&self.dir) {
             for path in entries {
                 let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
                     continue;
                 };
-                let stale = if name.ends_with(".tmp") {
-                    !name.starts_with(&snap_name(next))
-                } else if let Some(g) = parse_gen(name, "state.", ".snap") {
+                let stale = if let Some(g) = parse_gen(name, "state.", ".snap") {
                     g < cutoff
                 } else if let Some(g) = parse_gen(name, "wal.", ".log") {
                     g < cutoff

@@ -1,10 +1,11 @@
 //! The *storage-level* fault taxonomy: what a real filesystem does to a
 //! durable state store.
 //!
-//! `leaksig-device`'s WAL-backed [`StateStore`] backend performs every
-//! I/O operation through the [`DiskIo`] trait, so the whole persistence
-//! protocol — append, compaction snapshot, temp-then-rename, recovery
-//! scan — can be driven against a disk that misbehaves on schedule:
+//! `leaksig-device`'s WAL-backed [`StateStore`] backend and its snapshot
+//! vault perform every I/O operation through the [`DiskIo`] trait, so
+//! the whole persistence protocol — append, compaction snapshot,
+//! temp-then-rename, recovery scan — can be driven against a disk that
+//! misbehaves on schedule:
 //!
 //! * **short write** — an append persists only a prefix of its bytes and
 //!   reports failure (partial sector flush before power loss);
@@ -24,6 +25,10 @@
 //! random [`DiskFaultPlan`] for soak-style chaos (same seed, same
 //! faults). Both are *logical*: no sleeps, no real power loss, fully
 //! reproducible.
+//!
+//! Both stores replace files through the one temp-sync-rename protocol
+//! here, [`atomic_replace`], and clear its crash debris with
+//! [`sweep_temps`].
 //!
 //! [`StateStore`]: ../../leaksig_device/trait.StateStore.html
 
@@ -162,6 +167,38 @@ pub trait DiskIo: Send {
     fn remove(&mut self, path: &Path) -> io::Result<()>;
     /// Durability barrier: flush `path`'s bytes to stable storage.
     fn sync(&mut self, path: &Path) -> io::Result<()>;
+}
+
+/// Replace `path` with `bytes` atomically: write `<path>.tmp`, sync it,
+/// then rename it over `path`. A crash at any step leaves `path` either
+/// untouched or fully replaced. On failure the temp file is removed
+/// (best effort; [`sweep_temps`] clears what a dead process leaves).
+pub fn atomic_replace(disk: &mut dyn DiskIo, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let landed = disk
+        .write(&tmp, bytes)
+        .and_then(|()| disk.sync(&tmp))
+        .and_then(|()| disk.rename(&tmp, path));
+    if landed.is_err() {
+        let _ = disk.remove(&tmp);
+    }
+    landed
+}
+
+/// Remove every `*.tmp` file in `dir`, the debris of interrupted
+/// [`atomic_replace`] calls, and return how many went. Best effort: a
+/// file that cannot be removed is left for the next sweep.
+pub fn sweep_temps(disk: &mut dyn DiskIo, dir: &Path) -> usize {
+    let Ok(entries) = disk.read_dir(dir) else {
+        return 0;
+    };
+    entries
+        .iter()
+        .filter(|path| path.extension().is_some_and(|ext| ext == "tmp"))
+        .filter(|path| disk.remove(path).is_ok())
+        .count()
 }
 
 /// The honest [`DiskIo`]: plain `std::fs`.

@@ -16,8 +16,6 @@
 //! * [`FaultAction`] — one concrete injected fault;
 //! * byte-mangling helpers ([`truncate_bytes`], [`flip_bytes`]) shared by
 //!   the transport wrapper and the tests;
-//! * [`CrashPoint`] — where a simulated power loss interrupts a
-//!   persistence write (see `leaksig-device::persist`);
 //! * [`ingest`] — the *inbound* taxonomy: what raw mobile traffic does to
 //!   a collection server's intake (garbage bytes, oversized declarations,
 //!   header bombs, duplicate floods, slow-drip truncation);
@@ -37,8 +35,8 @@ pub mod ingest;
 pub mod socket;
 
 pub use disk::{
-    crash_error, CrashFlavor, DiskFaultControls, DiskFaultKind, DiskFaultPlan, DiskIo, FaultyDisk,
-    RealDisk,
+    atomic_replace, crash_error, sweep_temps, CrashFlavor, DiskFaultControls, DiskFaultKind,
+    DiskFaultPlan, DiskIo, FaultyDisk, RealDisk,
 };
 pub use ingest::{apply_ingest_fault, IngestFault, IngestFaultKind, IngestFaultPlan};
 pub use socket::{garbage_preamble, SocketFault, SocketFaultKind, SocketFaultPlan};
@@ -261,26 +259,6 @@ pub fn flip_bytes(data: &mut [u8], seed: u64, flips: usize) {
         let mask = rng.random_range(1u8..=255);
         data[pos] ^= mask;
     }
-}
-
-/// Where a simulated power loss interrupts a persistence write.
-///
-/// `leaksig-device::persist` accepts one of these to model the three
-/// interesting crash windows of a write-temp-then-rename protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CrashPoint {
-    /// Crash before any byte reaches disk: nothing changes.
-    BeforeWrite,
-    /// A torn write lands `keep_permille`/1000 of the snapshot bytes in
-    /// the *final* path (models a non-atomic filesystem or a torn
-    /// rename): restore must detect this via the checksum and roll back.
-    TornWrite {
-        /// Surviving fraction of the snapshot, in permille.
-        keep_permille: u16,
-    },
-    /// Crash after the temp file is fully written but before the rename:
-    /// the final path is untouched; the orphan temp must be ignored.
-    BeforeRename,
 }
 
 #[cfg(test)]

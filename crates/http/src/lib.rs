@@ -14,7 +14,9 @@
 //!   [`ParseLimits`] for untrusted intake paths;
 //! * [`parse_request_view`] — a zero-copy twin of
 //!   [`parse_request_limited`] yielding borrowed [`PacketView`]s whose
-//!   header spans live in a reusable [`ParseArena`] (hot scan paths);
+//!   header spans live in a reusable [`ParseArena`] (hot scan paths).
+//!   Both run one shared grammar; they differ only in how they
+//!   materialise its result (owned copies vs. spans);
 //! * [`HttpPacket::to_bytes`] — the inverse serializer;
 //! * [`RequestBuilder`] — ergonomic construction for generators and tests;
 //! * [`query`] — `application/x-www-form-urlencoded` encode/decode.

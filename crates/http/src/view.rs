@@ -2,22 +2,23 @@
 //! buffer, backed by a reusable span arena.
 //!
 //! [`parse_request_view`] is the allocation-free twin of
-//! [`parse_request_limited`](crate::parse_request_limited): instead of
-//! materialising owned `String`s and `Vec`s per header, it records byte
-//! *spans* into the caller's buffer. The content fields detection scans —
-//! request line, `Cookie`, body — live inline in the [`PacketView`];
-//! header spans go into a [`ParseArena`] that a batch-processing loop
-//! resets between batches, so steady-state parsing performs no per-packet
-//! allocation at all.
+//! [`parse_request_limited`](crate::parse_request_limited): one grammar,
+//! two materialisations. Both run the same private grammar function over
+//! the raw bytes; the owned entry point copies what it reports into
+//! `String`s and `Vec`s, while the view records byte *spans* into the
+//! caller's buffer. The content fields detection scans — request line,
+//! `Cookie`, body — live inline in the [`PacketView`]; header spans go
+//! into a [`ParseArena`] that a batch-processing loop resets between
+//! batches, so steady-state parsing performs no per-packet allocation at
+//! all.
 //!
-//! The owned parser remains the semantic oracle: for every input the view
-//! parser either produces a view whose [`PacketView::to_packet`]
-//! materialisation is byte-identical to the owned parse (including the
-//! exact `ParseError` on rejects), or returns [`ViewOutcome::Opaque`] for
-//! the one case a borrowed view cannot represent — a request line that is
-//! not valid UTF-8, where the owned path's lossy decode rewrites bytes.
-//! Callers fall back to the owned parser there; a property test pins the
-//! equivalence.
+//! Accept/reject decisions and the exact `ParseError` are therefore
+//! shared by construction, and [`PacketView::to_packet`] is
+//! byte-identical to the owned parse. The one input a view cannot
+//! represent is an accepted request whose request line is not valid
+//! UTF-8 (the owned path's lossy decode rewrites those bytes): the view
+//! parser returns [`ViewOutcome::Opaque`] and callers fall back to the
+//! owned parser.
 //!
 //! # Arena reset discipline
 //!
@@ -29,8 +30,8 @@
 //! buffer lives. The scan path only touches inline fields, so a batch
 //! loop may parse, scan, and reset freely.
 
-use crate::model::{Destination, HeaderName, HttpPacket, Method, RequestLine};
-use crate::parse::{is_token_byte, parse_content_length, take_line_within, ParseError};
+use crate::model::{Destination, HttpPacket, Method, RequestLine};
+use crate::parse::{owned_header, parse_grammar, ParseError};
 use crate::ParseLimits;
 use std::net::Ipv4Addr;
 use std::ops::Range;
@@ -192,10 +193,7 @@ impl<'a> PacketView<'a> {
     pub fn to_packet(&self, arena: &ParseArena) -> HttpPacket {
         let headers = self
             .headers(arena)
-            .map(|(name, value)| {
-                let name = std::str::from_utf8(name).expect("token bytes are ASCII");
-                (HeaderName::new(name), value.to_vec())
-            })
+            .map(|(name, value)| owned_header(name, value))
             .collect();
         HttpPacket {
             destination: Destination::new(
@@ -219,19 +217,20 @@ impl<'a> PacketView<'a> {
 pub enum ViewOutcome<'a> {
     /// A borrowed view over the buffer.
     View(PacketView<'a>),
-    /// The request line is not valid UTF-8 (or the buffer exceeds span
-    /// range): the owned parser's lossy decode rewrites bytes a borrowed
-    /// view cannot represent. Parse this input with
+    /// The request is well formed but its request line is not valid
+    /// UTF-8 (or the buffer exceeds span range): the owned parser's lossy
+    /// decode rewrites bytes a borrowed view cannot represent. Parse this
+    /// input with
     /// [`parse_request_limited`](crate::parse_request_limited) instead.
     Opaque,
 }
 
 /// Zero-copy variant of
-/// [`parse_request_limited`](crate::parse_request_limited): identical
-/// accept/reject behaviour (including the exact [`ParseError`]), but the
-/// accepted form is a borrowed [`PacketView`] whose header spans land in
-/// `arena`. Performs no allocation on the accept path once the arena has
-/// warmed up.
+/// [`parse_request_limited`](crate::parse_request_limited): the same
+/// grammar, so identical accept/reject behaviour (including the exact
+/// [`ParseError`]), but the accepted form is a borrowed [`PacketView`]
+/// whose header spans land in `arena`. Performs no allocation on the
+/// accept path once the arena has warmed up.
 pub fn parse_request_view<'a>(
     raw: &'a [u8],
     ip: Ipv4Addr,
@@ -242,168 +241,46 @@ pub fn parse_request_view<'a>(
     if raw.len() > u32::MAX as usize {
         return Ok(ViewOutcome::Opaque);
     }
-    let (first, mut rest) = take_line_within(raw, limits.max_request_line)
-        .map_err(|()| ParseError::RequestLineTooLong {
-            limit: limits.max_request_line,
-        })?
-        .ok_or(ParseError::Empty)?;
-    if first.is_empty() {
-        return Err(ParseError::Empty);
-    }
-    let Ok(first_str) = std::str::from_utf8(first) else {
-        // The owned path lossy-decodes here; delegate to it.
-        return Ok(ViewOutcome::Opaque);
-    };
-    // `METHOD SP target SP version`, exactly three single-space-separated
-    // parts with non-empty method and target — byte-for-byte the owned
-    // parser's `split(' ')` contract.
-    let malformed = || ParseError::MalformedRequestLine(first_str.to_string());
-    let sp1 = first.iter().position(|&b| b == b' ').ok_or_else(malformed)?;
-    let sp2 = first[sp1 + 1..]
-        .iter()
-        .position(|&b| b == b' ')
-        .map(|i| sp1 + 1 + i)
-        .ok_or_else(malformed)?;
-    if sp1 == 0 || sp2 == sp1 + 1 || first[sp2 + 1..].contains(&b' ') {
-        return Err(malformed());
-    }
-    let method = &first[..sp1];
-    let target = &first[sp1 + 1..sp2];
-    let version = &first[sp2 + 1..];
-    if !version.starts_with(b"HTTP/") {
-        return Err(ParseError::BadVersion(
-            String::from_utf8_lossy(version).into_owned(),
-        ));
-    }
-
-    let header_base = arena.headers.len();
-    let mut line_no = 0usize;
-    let mut cookie: Option<Span> = None;
-    let mut content_length: Option<Span> = None;
-    let mut host: Option<Span> = None;
-    let body_all;
-    loop {
-        let (line, next) = take_line_within(rest, limits.max_header_line)
-            .map_err(|()| ParseError::HeaderTooLong {
-                line: line_no,
-                limit: limits.max_header_line,
-            })?
-            .ok_or(ParseError::UnterminatedHeaders)
-            .inspect_err(|_| arena.headers.truncate(header_base))?;
-        rest = next;
-        if line.is_empty() {
-            body_all = rest;
-            break;
-        }
-        if arena.headers.len() - header_base >= limits.max_header_count {
-            arena.headers.truncate(header_base);
-            return Err(ParseError::TooManyHeaders {
-                limit: limits.max_header_count,
-            });
-        }
-        let Some(colon) = line.iter().position(|&b| b == b':') else {
-            arena.headers.truncate(header_base);
-            return Err(ParseError::MalformedHeader(line_no));
-        };
-        let name = &line[..colon];
-        if name.is_empty() || !name.iter().all(|&b| is_token_byte(b)) {
-            arena.headers.truncate(header_base);
-            return Err(ParseError::BadHeaderName(line_no));
-        }
-        let mut value = &line[colon + 1..];
-        while value.first() == Some(&b' ') || value.first() == Some(&b'\t') {
-            value = &value[1..];
-        }
-        while value.last() == Some(&b' ') || value.last() == Some(&b'\t') {
-            value = &value[..value.len() - 1];
-        }
-        let value_span = Span::of(raw, value);
-        if cookie.is_none() && name.eq_ignore_ascii_case(b"Cookie") {
-            cookie = Some(value_span);
-        }
-        if content_length.is_none() && name.eq_ignore_ascii_case(b"Content-Length") {
-            content_length = Some(value_span);
-        }
-        if host.is_none() && name.eq_ignore_ascii_case(b"Host") {
-            // Strip any `:port` suffix; ASCII bytes survive the owned
-            // path's lossy decode unchanged, so the first `:` byte is the
-            // first `:` char there too.
-            let stripped = match value.iter().position(|&b| b == b':') {
-                Some(c) => &value[..c],
-                None => value,
-            };
-            host = Some(Span::of(raw, stripped));
-        }
+    let base = arena.headers.len();
+    let parsed = parse_grammar(raw, limits, |name, value| {
         arena.headers.push(HeaderSpan {
             name: Span::of(raw, name),
-            value: value_span,
-        });
-        line_no += 1;
-    }
-
-    let reject = |arena: &mut ParseArena, e: ParseError| {
-        arena.headers.truncate(header_base);
-        Err(e)
-    };
-    let body = match content_length {
-        Some(v) => {
-            let expected = match parse_content_length(v.get(raw)) {
-                Ok(n) => n,
-                Err(e) => return reject(arena, e),
-            };
-            if expected > limits.max_body {
-                return reject(
-                    arena,
-                    ParseError::BodyTooLarge {
-                        limit: limits.max_body,
-                        got: expected,
-                    },
-                );
-            }
-            if body_all.len() < expected {
-                return reject(
-                    arena,
-                    ParseError::TruncatedBody {
-                        expected,
-                        got: body_all.len(),
-                    },
-                );
-            }
-            &body_all[..expected]
+            value: Span::of(raw, value),
+        })
+    });
+    let req = match parsed {
+        Ok(req) if std::str::from_utf8(req.line).is_ok() => req,
+        // The owned path lossy-decodes a non-UTF-8 request line; a
+        // borrowed view cannot represent the rewritten bytes.
+        Ok(_) => {
+            arena.headers.truncate(base);
+            return Ok(ViewOutcome::Opaque);
         }
-        None => {
-            if body_all.len() > limits.max_body {
-                return reject(
-                    arena,
-                    ParseError::BodyTooLarge {
-                        limit: limits.max_body,
-                        got: body_all.len(),
-                    },
-                );
-            }
-            body_all
+        Err(e) => {
+            // Rejects must not leak spans into the arena.
+            arena.headers.truncate(base);
+            return Err(e);
         }
     };
-
+    let rline_len = req.method.len() + 1 + req.target.len();
     Ok(ViewOutcome::View(PacketView {
         raw,
         ip,
         port,
-        method: Span::of(raw, method),
-        target: Span::of(raw, target),
-        version: Span::of(raw, version),
-        rline: Span::of(raw, &first[..sp2]),
-        host: host.unwrap_or_default(),
-        cookie,
-        body: Span::of(raw, body),
-        headers: header_base as u32..arena.headers.len() as u32,
+        method: Span::of(raw, req.method),
+        target: Span::of(raw, req.target),
+        version: Span::of(raw, req.version),
+        rline: Span::of(raw, &req.line[..rline_len]),
+        host: req.host.map(|h| Span::of(raw, h)).unwrap_or_default(),
+        cookie: req.cookie.map(|c| Span::of(raw, c)),
+        body: Span::of(raw, req.body),
+        headers: base as u32..arena.headers.len() as u32,
     }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{parse_request_limited, RequestBuilder};
 
     const IP: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 10);
 
@@ -436,61 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn materialisation_matches_owned_parser() {
-        let pkt = RequestBuilder::post("/x")
-            .query("a", "1")
-            .cookie("sid=9")
-            .header("User-Agent", "Dalvik/1.4.0")
-            .body(&b"imei=355195"[..])
-            .destination(IP, 80, "h.example.jp")
-            .build();
-        let raw = pkt.to_bytes();
-        let mut arena = ParseArena::new();
-        let v = view(&raw, &mut arena);
-        let owned = parse_request_limited(&raw, IP, 80, &ParseLimits::UNLIMITED).unwrap();
-        assert_eq!(v.to_packet(&arena), owned);
-        assert_eq!(v.to_packet(&arena), pkt);
-    }
-
-    #[test]
-    fn errors_match_owned_parser() {
-        let cases: &[&[u8]] = &[
-            b"",
-            b"\r\n\r\n",
-            b"GET /\r\n\r\n",
-            b"GET / index HTTP/1.1\r\n\r\n",
-            b"GET / FTP/1.1\r\n\r\n",
-            b"GET / HTTP/1.1\r\nno-colon\r\n\r\n",
-            b"GET / HTTP/1.1\r\nbad name: 2\r\n\r\n",
-            b"GET / HTTP/1.1\r\nHost: x",
-            b"POST / HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
-            b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc",
-        ];
-        let mut arena = ParseArena::new();
-        for raw in cases {
-            let owned = parse_request_limited(raw, IP, 80, &ParseLimits::UNLIMITED).unwrap_err();
-            match parse_request_view(raw, IP, 80, &ParseLimits::UNLIMITED, &mut arena) {
-                Err(e) => assert_eq!(e, owned, "input {raw:?}"),
-                other => panic!("expected error for {raw:?}, got {other:?}"),
-            }
-            // Rejects must not leak spans into the arena.
-            assert!(arena.is_empty(), "arena dirty after reject of {raw:?}");
-        }
-    }
-
-    #[test]
-    fn invalid_utf8_request_line_is_opaque() {
-        let raw = b"GET /\xff\xfe HTTP/1.1\r\n\r\n";
-        let mut arena = ParseArena::new();
-        match parse_request_view(raw, IP, 80, &ParseLimits::UNLIMITED, &mut arena).unwrap() {
-            ViewOutcome::Opaque => {}
-            ViewOutcome::View(_) => panic!("lossy request line must fall back"),
-        }
-        // The owned parser still handles it.
-        assert!(parse_request_limited(raw, IP, 80, &ParseLimits::UNLIMITED).is_ok());
-    }
-
-    #[test]
     fn arena_reuse_across_packets_and_batches() {
         let a: &[u8] = b"GET /a HTTP/1.1\r\nHost: one.example\r\nX-N: 1\r\n\r\n";
         let b: &[u8] = b"GET /b HTTP/1.1\r\nHost: two.example\r\n\r\n";
@@ -509,31 +331,5 @@ mod tests {
         assert_eq!(va.rline(), b"GET /a");
         let vc = view(b, &mut arena);
         assert_eq!(vc.headers(&arena).count(), 1);
-    }
-
-    #[test]
-    fn limits_enforced_like_owned() {
-        let tight = ParseLimits {
-            max_request_line: 16,
-            max_header_count: 2,
-            max_header_line: 24,
-            max_body: 8,
-        };
-        let mut arena = ParseArena::new();
-        let cases: &[&[u8]] = &[
-            b"GET /aaaaaaaaaaaaaaaaaaaaaaaaaa HTTP/1.1\r\n\r\n",
-            b"GET / HTTP/1.1\r\na: 1\r\nb: 2\r\nc: 3\r\n\r\n",
-            b"GET / HTTP/1.1\r\nbig: aaaaaaaaaaaaaaaaaaaaaaaaaa\r\n\r\n",
-            b"POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\n",
-            b"POST / HTTP/1.1\r\n\r\n123456789",
-        ];
-        for raw in cases {
-            let owned = parse_request_limited(raw, IP, 80, &tight).unwrap_err();
-            match parse_request_view(raw, IP, 80, &tight, &mut arena) {
-                Err(e) => assert_eq!(e, owned, "input {raw:?}"),
-                other => panic!("expected error for {raw:?}, got {other:?}"),
-            }
-        }
-        assert!(arena.is_empty());
     }
 }

@@ -250,7 +250,9 @@ pub fn decode_batch_partial_ref(
         return Err(BatchError::BadRecord);
     }
     let body_start = newline + 1;
-    let total = body_start + body_len;
+    let total = body_start
+        .checked_add(body_len)
+        .ok_or(BatchError::TooLarge { declared: body_len })?;
     if data.len() < total {
         return Ok(BatchProgressRef::Incomplete { need: Some(total) });
     }

@@ -7,6 +7,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# The end-to-end benchmark has its own empty [workspace], so neither the
+# build above nor the workspace tests compile it: build it here so an
+# API change that breaks it fails this gate, not the next benchmark run.
+echo "==> cargo build --release --offline --manifest-path e2ebench/Cargo.toml"
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets --all-features -- -D warnings"
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 

@@ -12,7 +12,7 @@ use leaksig::device::{
     PacketGate, RetryPolicy, SignatureServer, SignatureStore, SnapshotVault, StoreHealth,
     SyncClient,
 };
-use leaksig::faults::{CrashPoint, FaultKind, FaultPlan};
+use leaksig::faults::{truncate_bytes, CrashFlavor, FaultKind, FaultPlan, FaultyDisk, RealDisk};
 use leaksig::netsim::{Dataset, MarketConfig, SensitiveKind};
 
 fn seeds() -> Vec<u64> {
@@ -117,17 +117,37 @@ fn chaos_soak_converges_across_seeds() {
         assert_eq!(store.version(), 2, "seed {seed}");
         assert_wire_integrity(&store, &publisher);
 
-        // Crash mid-persist: the torn newest generation rolls back to the
-        // last verified snapshot instead of corrupting the restart.
-        let dir = std::env::temp_dir().join(format!(
-            "leaksig-chaos-soak-{seed}-{}",
-            std::process::id()
-        ));
-        let vault = SnapshotVault::new(&dir).unwrap();
-        let saved = vault.save_store(&store).unwrap();
-        vault
-            .save_store_with_crash(&store, Some(CrashPoint::TornWrite { keep_permille: 500 }))
+        // Crash mid-persist: the process dies with a torn write half-way
+        // through the next save; the restart restores the last saved
+        // generation in full.
+        let dir =
+            std::env::temp_dir().join(format!("leaksig-chaos-soak-{seed}-{}", std::process::id()));
+        let saved = SnapshotVault::new(&dir)
+            .unwrap()
+            .save_store(&store)
             .unwrap();
+        let (disk, ctl) = FaultyDisk::new(RealDisk);
+        let mut vault = SnapshotVault::open(&dir, Box::new(disk)).unwrap();
+        ctl.arm_crash(ctl.mutations(), CrashFlavor::Torn);
+        assert!(vault.save_store(&store).is_err(), "seed {seed}");
+        assert!(ctl.crashed(), "seed {seed}");
+        let mut vault = SnapshotVault::new(&dir).unwrap();
+        let (restored, restore_report) = vault.restore_store();
+        assert_eq!(restore_report.generation, Some(saved), "seed {seed}");
+        assert!(
+            !restore_report.rolled_back(),
+            "seed {seed}: nothing was damaged"
+        );
+        assert_eq!(restored.wire_text(), store.wire_text(), "seed {seed}");
+
+        // A damaged newest snapshot (torn by a non-atomic copy, bit rot)
+        // rolls back to the last verified one instead of corrupting the
+        // restart.
+        let newest = vault.save_store(&store).unwrap();
+        let path = dir.join(format!("store.{newest}.snap"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        truncate_bytes(&mut bytes, 500);
+        std::fs::write(&path, &bytes).unwrap();
         let (restored, restore_report) = vault.restore_store();
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(restore_report.generation, Some(saved), "seed {seed}");

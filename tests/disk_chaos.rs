@@ -12,6 +12,11 @@
 //! injected crash point, and each recovered state must be byte-identical
 //! to one of the recorded prefixes.
 //!
+//! The device-side snapshot vault writes through the same `DiskIo`
+//! boundary and runs the same matrix: every crash point of a sequence of
+//! saves must restore the interrupted save's old or new generation in
+//! full.
+//!
 //! Also here: the sick-disk (non-fatal) taxonomy — ENOSPC, short writes,
 //! fsync failures — must *degrade* the store (counted in `ServerStats`)
 //! rather than panic the pipeline, with a successful compaction
@@ -22,13 +27,15 @@
 //! `DISK_SEEDS=7,11,13`.
 
 use leaksig::core::prelude::*;
+use leaksig::core::wire;
 use leaksig::device::state::encode_state;
 use leaksig::device::{
     ApplyOutcome, CollectionServer, Durability, DurabilityMode, DurableState, IngestConfig,
-    IngestOutcome, MemoryStore, RegenerateOutcome, SignatureServer, StateOp, StateStore, WalConfig,
-    WalStore,
+    IngestOutcome, MemoryStore, RegenerateOutcome, SignatureServer, SignatureStore, SnapshotVault,
+    StateOp, StateStore, StoreHealth, WalConfig, WalStore,
 };
 use leaksig::faults::{CrashFlavor, DiskFaultControls, FaultyDisk, RealDisk};
+use leaksig::http::HttpPacket;
 use leaksig::netsim::{Dataset, MarketConfig, SensitiveKind};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -233,6 +240,109 @@ fn crash_recovery_differential_matrix_across_seeds() {
                 "seed {seed}, crash-{}: the matrix barely fired ({died}/{total})",
                 flavor.label()
             );
+        }
+    }
+}
+
+/// Stores at versions 1..=5 holding distinct, gate-clean signature sets.
+fn vault_stores(data: &Dataset) -> Vec<SignatureStore> {
+    let leaks: Vec<&HttpPacket> = data
+        .packets
+        .iter()
+        .filter(|p| p.is_sensitive())
+        .map(|p| &p.packet)
+        .collect();
+    (1..=5u64)
+        .map(|version| {
+            let n = (8 * version as usize).min(leaks.len());
+            let set = generate_signatures(&leaks[..n], &PipelineConfig::default());
+            let store = SignatureStore::new();
+            store
+                .install(version, &wire::encode(&set))
+                .expect("generated sets pass the deploy gate");
+            store
+        })
+        .collect()
+}
+
+/// One vault run: generation 1 saved on an honest disk, then versions
+/// 2..=5 saved through a disk armed with `crash` (the last two saves
+/// also prune). Returns the last version whose save was acknowledged.
+fn vault_run(
+    dir: &Path,
+    stores: &[SignatureStore],
+    crash: Option<(u64, CrashFlavor)>,
+) -> (u64, DiskFaultControls) {
+    SnapshotVault::new(dir)
+        .unwrap()
+        .save_store(&stores[0])
+        .unwrap();
+    let (disk, ctl) = FaultyDisk::new(RealDisk);
+    if let Some((at, flavor)) = crash {
+        ctl.arm_crash(at, flavor);
+    }
+    let mut acked = stores[0].version();
+    if let Ok(mut vault) = SnapshotVault::open(dir, Box::new(disk)) {
+        for store in &stores[1..] {
+            if vault.save_store(store).is_err() {
+                break;
+            }
+            acked = store.version();
+        }
+    }
+    (acked, ctl)
+}
+
+/// The snapshot vault through the crash matrix: every mutating I/O op ×
+/// before/torn/after. The restart must restore the interrupted save's
+/// old or new generation in full, healthy, with no damaged snapshot
+/// skipped and no `.tmp` left behind.
+#[test]
+fn vault_crash_matrix_restores_old_or_new_generation() {
+    for seed in seeds() {
+        let data = Dataset::generate(MarketConfig::scaled(seed, 0.01));
+        let stores = vault_stores(&data);
+
+        let dir = scratch(&format!("vault-calib-{seed}"));
+        let (acked, ctl) = vault_run(&dir, &stores, None);
+        assert_eq!(acked, 5, "seed {seed}: uninjured run saves everything");
+        let total = ctl.mutations();
+        assert!(
+            total >= 15,
+            "seed {seed}: open + 4 saves + 2 prunes is at least 15 ops, got {total}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+
+        for flavor in CrashFlavor::ALL {
+            for at in 0..total {
+                let label = format!("seed {seed}, crash-{} at op {at}", flavor.label());
+                let dir = scratch(&format!("vault-{seed}-{}-{at}", flavor.label()));
+                let (acked, ctl) = vault_run(&dir, &stores, Some((at, flavor)));
+                assert!(ctl.crashed(), "{label}: the armed crash must fire");
+
+                let (restored, report) = SnapshotVault::new(&dir).unwrap().restore_store();
+                let version = restored.version();
+                assert!(
+                    version == acked || version == acked + 1,
+                    "{label}: restored v{version}, last acknowledged save v{acked}"
+                );
+                let gold = &stores[version as usize - 1];
+                assert_eq!(restored.wire_text(), gold.wire_text(), "{label}");
+                assert_eq!(report.health, StoreHealth::Fresh, "{label}");
+                assert_eq!(report.skipped_corrupt, 0, "{label}");
+                let debris = std::fs::read_dir(&dir)
+                    .unwrap()
+                    .filter(|e| {
+                        e.as_ref()
+                            .unwrap()
+                            .path()
+                            .extension()
+                            .is_some_and(|x| x == "tmp")
+                    })
+                    .count();
+                assert_eq!(debris, 0, "{label}: the restart sweeps `.tmp` files");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
     }
 }

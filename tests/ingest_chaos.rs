@@ -265,7 +265,7 @@ fn poison_packet_is_bisected_quarantined_and_blocked_from_reentry() {
             sample: &[HttpPacket],
             normal: &[HttpPacket],
             config: &PipelineConfig,
-        ) -> SignatureSet {
+        ) -> GeneratedSignatures {
             assert!(
                 !sample.iter().any(|p| p.request_line.path() == "/poison"),
                 "clustering choked on the poison packet"

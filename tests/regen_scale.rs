@@ -59,9 +59,9 @@ fn regeneration_pass_completes_at_scale_with_recall() {
         .collect();
 
     let t0 = Instant::now();
-    let set = regeneration_pass(&sample, &normal, &PipelineConfig::default());
+    let GeneratedSignatures { set, timings, .. } =
+        regeneration_pass(&sample, &normal, &PipelineConfig::default());
     let elapsed = t0.elapsed();
-    let timings = take_last_timings().expect("pass records stage timings");
     eprintln!(
         "regen N={}: {:.1}s wall; {}",
         sample.len(),
