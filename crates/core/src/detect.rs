@@ -3,17 +3,23 @@
 //! Matching runs on the compiled engine ([`crate::engine`]): construction
 //! compiles the set's tokens into per-field multi-pattern automata once,
 //! and every `match_*` call is a linear pass over the packet's bytes
-//! regardless of signature count. [`Detector::scan`] additionally fans a
-//! large batch out across cores with scoped threads (mirroring
-//! [`crate::matrix::pairwise`]), one scratch per worker.
+//! regardless of signature count. [`Detector::scan`] and
+//! [`Detector::scan_batch`] additionally fan a large batch out across
+//! cores in contiguous chunks (the crate's one fan-out, shared with
+//! [`crate::matrix::pairwise`]), one scratch per chunk.
 
 use crate::engine::{CompiledDetector, FieldBytes, ScanScratch, SensitiveProbe};
+use crate::par::{chunk_len, run_jobs};
 use crate::signature::{rline_view, ConjunctionSignature, SignatureSet};
 use leaksig_http::{
     parse_request_limited, HttpPacket, PacketView, ParseArena, ParseLimits, ViewOutcome,
 };
 use std::net::Ipv4Addr;
 use std::sync::Mutex;
+
+/// Batch scans below this many packets run inline on the caller's thread:
+/// below it, thread spawn overhead beats the win.
+const SERIAL_BELOW: usize = 256;
 
 /// How a signature is judged against a packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,38 +239,18 @@ impl Detector {
 
     /// Batch-scan raw records on the zero-copy path, fanning large
     /// batches out across cores (contiguous chunks, one scanner per
-    /// worker — the verdict vector is deterministic whatever the thread
+    /// chunk — the verdict vector is deterministic whatever the thread
     /// count).
     pub fn scan_batch(&self, records: &[RawPacket<'_>], limits: &ParseLimits) -> Vec<ScanVerdict> {
-        /// Below this, thread spawn overhead beats the win.
-        const PAR_THRESHOLD: usize = 256;
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        if records.len() < PAR_THRESHOLD || threads < 2 {
-            let mut scanner = self.scanner();
-            return records
-                .iter()
-                .map(|r| scanner.scan_raw(r.raw, r.ip, r.port, limits))
-                .collect();
-        }
         let mut out = vec![ScanVerdict::PARSE_FAILED; records.len()];
-        let chunk = records.len().div_ceil(threads);
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            for (rec_chunk, out_chunk) in records.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                handles.push(scope.spawn(move |_| {
-                    let mut scanner = self.scanner();
-                    for (r, slot) in rec_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = scanner.scan_raw(r.raw, r.ip, r.port, limits);
-                    }
-                }));
+        let chunk = chunk_len(records.len(), SERIAL_BELOW);
+        let jobs = records.chunks(chunk).zip(out.chunks_mut(chunk)).collect();
+        run_jobs(jobs, |(rec_chunk, out_chunk)| {
+            let mut scanner = self.scanner();
+            for (r, slot) in rec_chunk.iter().zip(out_chunk) {
+                *slot = scanner.scan_raw(r.raw, r.ip, r.port, limits);
             }
-            for h in handles {
-                h.join().expect("scan worker panicked");
-            }
-        })
-        .expect("crossbeam scope");
+        });
         out
     }
 
@@ -330,38 +316,15 @@ impl Detector {
 
     /// [`Detector::scan`] over an already-collected slice.
     pub fn scan_refs(&self, packets: &[&HttpPacket]) -> Vec<bool> {
-        /// Below this, thread spawn overhead beats the win.
-        const PAR_THRESHOLD: usize = 256;
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        if packets.len() < PAR_THRESHOLD || threads < 2 {
-            let mut scratch = self.engine.scratch();
-            return packets
-                .iter()
-                .map(|p| self.engine.match_first(&mut scratch, p).is_some())
-                .collect();
-        }
-
         let mut mask = vec![false; packets.len()];
-        let chunk = packets.len().div_ceil(threads);
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            for (packet_chunk, mask_chunk) in
-                packets.chunks(chunk).zip(mask.chunks_mut(chunk))
-            {
-                handles.push(scope.spawn(move |_| {
-                    let mut scratch = self.engine.scratch();
-                    for (p, m) in packet_chunk.iter().zip(mask_chunk.iter_mut()) {
-                        *m = self.engine.match_first(&mut scratch, p).is_some();
-                    }
-                }));
+        let chunk = chunk_len(packets.len(), SERIAL_BELOW);
+        let jobs = packets.chunks(chunk).zip(mask.chunks_mut(chunk)).collect();
+        run_jobs(jobs, |(packet_chunk, mask_chunk)| {
+            let mut scratch = self.engine.scratch();
+            for (p, m) in packet_chunk.iter().zip(mask_chunk) {
+                *m = self.engine.match_first(&mut scratch, p).is_some();
             }
-            for h in handles {
-                h.join().expect("scan worker panicked");
-            }
-        })
-        .expect("crossbeam scope");
+        });
         mask
     }
 }

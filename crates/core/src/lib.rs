@@ -67,6 +67,7 @@ pub mod engine;
 pub mod distance;
 pub mod eval;
 pub mod matrix;
+mod par;
 pub mod payload;
 pub mod pipeline;
 pub mod quality;
@@ -82,9 +83,7 @@ pub mod prelude {
     };
     pub use crate::audit::{deploy_check, AuditConfig, Code, Diagnostic, Severity};
     pub use crate::bayes::{BayesConfig, BayesSignature};
-    pub use crate::cluster::{
-        agglomerate, agglomerate_legacy_with, agglomerate_with, Dendrogram, Linkage, Merge,
-    };
+    pub use crate::cluster::{agglomerate, agglomerate_with, Dendrogram, Linkage, Merge};
     pub use crate::detect::{
         Detection, Detector, Explanation, MatchMode, PacketScanner, RawPacket, ScanVerdict,
     };
@@ -93,7 +92,7 @@ pub mod prelude {
     };
     pub use crate::distance::{DistanceConfig, DistanceConvention, PacketDistance, PacketFeatures};
     pub use crate::eval::{tally, Counts, Rates};
-    pub use crate::matrix::{pairwise, pairwise_naive, CondensedMatrix};
+    pub use crate::matrix::{pairwise, CondensedMatrix};
     pub use crate::payload::{Needle, PayloadCheck};
     pub use crate::pipeline::{
         drop_dominated, generate_signatures, generate_signatures_counted, generate_signatures_with,

@@ -1,6 +1,7 @@
 //! Condensed pairwise distance matrices, computed in parallel.
 
 use crate::distance::{PacketDistance, PacketFeatures};
+use crate::par::run_jobs;
 use leaksig_compress::Compressor;
 
 /// A symmetric zero-diagonal matrix stored as the strict upper triangle.
@@ -59,64 +60,27 @@ impl CondensedMatrix {
 
 /// Split a condensed buffer into per-row mutable slices so worker threads
 /// can write their claimed rows without locks or aliasing.
-fn row_slices(n: usize, data: &mut [f64]) -> Vec<&mut [f64]> {
-    let mut rows: Vec<&mut [f64]> = Vec::with_capacity(n - 1);
+///
+/// Row `i` costs `n − i − 1` cells, so a static deal (round-robin or
+/// chunks) leaves the worker that drew the long early rows straggling
+/// while the rest sit idle. Handing the rows to [`run_jobs`] in natural
+/// order claims the longest first and keeps every worker busy until the
+/// tail of cheap rows drains — the longest-processing-time heuristic.
+fn row_slices(n: usize, data: &mut [f64]) -> Vec<(usize, &mut [f64])> {
+    let mut rows: Vec<(usize, &mut [f64])> = Vec::with_capacity(n - 1);
     let mut rest: &mut [f64] = data;
     for i in 0..n - 1 {
         let (row, tail) = rest.split_at_mut(n - i - 1);
-        rows.push(row);
+        rows.push((i, row));
         rest = tail;
     }
     rows
 }
 
-/// Run `per_row(i, row)` over every condensed row on `threads` scoped
-/// workers, rows claimed one at a time from a shared atomic index.
-///
-/// Row `i` costs `n − i − 1` cells, so a static deal (round-robin or
-/// chunks) leaves the worker that drew the long early rows straggling
-/// while the rest sit idle. Dynamic claiming in natural order hands out
-/// the longest rows first and keeps every worker busy until the tail of
-/// cheap rows drains — the classic longest-processing-time heuristic.
-fn for_each_row_dynamic<F>(n: usize, data: &mut [f64], threads: usize, per_row: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    // Slots are `Mutex<Option<…>>` only to move each `&mut` row out to
-    // exactly one worker; the atomic counter guarantees a slot is claimed
-    // once, so the locks never contend.
-    type RowSlot<'a> = std::sync::Mutex<Option<(usize, &'a mut [f64])>>;
-    let slots: Vec<RowSlot<'_>> = row_slices(n, data)
-        .into_iter()
-        .enumerate()
-        .map(|job| std::sync::Mutex::new(Some(job)))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let (slots, next, per_row) = (&slots, &next, &per_row);
-                scope.spawn(move |_| loop {
-                    let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if k >= slots.len() {
-                        break;
-                    }
-                    let (i, row) = slots[k].lock().unwrap().take().expect("row claimed twice");
-                    per_row(i, row);
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("distance worker panicked");
-        }
-    })
-    .expect("crossbeam scope");
-}
-
 /// Compute the pairwise packet-distance matrix over `features`,
-/// parallelised across all available cores with scoped threads.
+/// parallelised across all available cores.
 ///
-/// Each worker claims whole rows from a shared atomic queue and computes
+/// Each worker claims whole rows from a shared queue and computes
 /// row `i` through [`PacketDistance::row`]: the three content fields of
 /// packet `i` are compressed once into resumable encoder snapshots, and
 /// every cell resumes those snapshots with packet `j`'s fields — O(n)
@@ -131,11 +95,7 @@ pub fn pairwise<C: Compressor + Sync>(
         return CondensedMatrix::zeros(n);
     }
     let mut matrix = CondensedMatrix::zeros(n);
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n - 1);
-    for_each_row_dynamic(n, &mut matrix.data, threads, |i, row| {
+    run_jobs(row_slices(n, &mut matrix.data), |(i, row)| {
         let mut rd = dist.row(&features[i]);
         for (off, cell) in row.iter_mut().enumerate() {
             let j = i + 1 + off;
@@ -160,11 +120,7 @@ pub fn pairwise_naive<C: Compressor + Sync>(
         return CondensedMatrix::zeros(n);
     }
     let mut matrix = CondensedMatrix::zeros(n);
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(n - 1);
-    for_each_row_dynamic(n, &mut matrix.data, threads, |i, row| {
+    run_jobs(row_slices(n, &mut matrix.data), |(i, row)| {
         for (off, cell) in row.iter_mut().enumerate() {
             let j = i + 1 + off;
             *cell = dist.packet(&features[i], &features[j]);

@@ -6,6 +6,7 @@ use crate::detect::Detector;
 use crate::distance::{DistanceConfig, PacketDistance, PacketFeatures};
 use crate::eval::{tally, Counts, Rates};
 use crate::matrix::pairwise;
+use crate::par::{chunk_len, run_jobs};
 use crate::signature::{
     build_signature, field_bytes, rline_view, select_tokens, Field, SelectedToken, SignatureConfig,
     SignatureSet,
@@ -74,27 +75,17 @@ fn extract_features<C: leaksig_compress::Compressor + Sync>(
     dist: &PacketDistance<C>,
     packets: &[&HttpPacket],
 ) -> Vec<PacketFeatures> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    if threads <= 1 || packets.len() < 64 {
-        return packets.iter().map(|p| dist.features(p)).collect();
+    /// Below this, thread spawn overhead beats the win.
+    const SERIAL_BELOW: usize = 64;
+    let chunk = chunk_len(packets.len(), SERIAL_BELOW);
+    let parts = run_jobs(packets.chunks(chunk).collect(), |part| {
+        part.iter().map(|p| dist.features(p)).collect::<Vec<_>>()
+    });
+    let mut out = Vec::with_capacity(packets.len());
+    for part in parts {
+        out.extend(part);
     }
-    let chunk = packets.len().div_ceil(threads);
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = packets
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move |_| part.iter().map(|p| dist.features(p)).collect::<Vec<_>>())
-            })
-            .collect();
-        let mut out = Vec::with_capacity(packets.len());
-        for h in handles {
-            out.extend(h.join().expect("feature worker panicked"));
-        }
-        out
-    })
-    .expect("crossbeam scope")
+    out
 }
 
 /// Which dendrogram nodes become signature candidates.

@@ -1,5 +1,6 @@
 //! Property tests for core invariants.
 
+use leaksig_core::cluster::agglomerate_legacy_with;
 use leaksig_core::prelude::*;
 use leaksig_core::signature::{ConjunctionSignature, Field, FieldToken};
 use leaksig_http::RequestBuilder;

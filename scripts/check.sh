@@ -4,6 +4,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One fan-out: every parallel loop in the crates goes through
+# crates/core/src/par.rs, so core counting and the scoped-thread crate
+# may appear nowhere else.
+echo "==> one fan-out (par.rs only)"
+if grep -rnE 'available_parallelism|crossbeam' crates/ | grep -v '^crates/core/src/par\.rs:'; then
+    echo "hand-rolled fan-out above: use crates/core/src/par.rs" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

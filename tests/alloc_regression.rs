@@ -11,27 +11,40 @@
 //! per packet, so any per-packet `String`/`Vec` sneaking back into the
 //! hot path fails loudly.
 //!
-//! The counter is process-global, so this file holds exactly one test;
-//! Rust runs each integration-test binary in its own process.
+//! Only the thread that arms the counter is counted: the scanned path
+//! is serial, and allocations made meanwhile by other threads of the
+//! process (the test harness's main thread waiting on this test) are not
+//! the scan's. The counter itself is shared, so this file holds exactly
+//! one test; Rust runs each integration-test binary in its own process.
 
 use leaksig_core::prelude::*;
 use leaksig_http::{ParseLimits, RequestBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// System allocator wrapper that counts allocation events (alloc,
-/// realloc, alloc_zeroed — frees are not interesting here) while armed.
+/// realloc, alloc_zeroed — frees are not interesting here) made by a
+/// thread while that thread has armed it.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    // `const` initialisation: reading it never allocates, so the
+    // allocator can consult it.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn note_alloc() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc(layout)
     }
 
@@ -40,16 +53,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         System.alloc_zeroed(layout)
     }
 }
@@ -57,12 +66,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Count allocation events during `f`.
+/// Count allocation events the calling thread makes during `f`.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     ALLOCS.store(0, Ordering::Relaxed);
-    ARMED.store(true, Ordering::Relaxed);
+    ARMED.set(true);
     let r = f();
-    ARMED.store(false, Ordering::Relaxed);
+    ARMED.set(false);
     (ALLOCS.load(Ordering::Relaxed), r)
 }
 
