@@ -14,55 +14,9 @@
 //! ```
 
 use leaksig_bench::{cli_config, generate, pct, rule};
-use leaksig_compress::{Compressor, Lzh, Lzss, Lzw};
-use leaksig_core::eval::tally;
+use leaksig_compress::{Lzh, Lzss, Lzw};
 use leaksig_core::prelude::*;
 use leaksig_http::HttpPacket;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
-/// Run one variant end to end with an explicit compressor.
-fn run_variant<C: Compressor + Sync>(
-    compressor: C,
-    packets: &[&HttpPacket],
-    labels: &[bool],
-    n: usize,
-    cfg: &PipelineConfig,
-) -> ExperimentOutcome {
-    let mut suspicious: Vec<usize> = (0..packets.len()).filter(|&i| labels[i]).collect();
-    let mut rng = StdRng::seed_from_u64(cfg.sample_seed);
-    suspicious.shuffle(&mut rng);
-    suspicious.truncate(n);
-    let sample: Vec<&HttpPacket> = suspicious.iter().map(|&i| packets[i]).collect();
-    let mut sampled = vec![false; packets.len()];
-    for &i in &suspicious {
-        sampled[i] = true;
-    }
-
-    let mut set = generate_signatures_with(compressor, &sample, cfg);
-    if let Some(v) = cfg.fp_validation {
-        let mut normal: Vec<usize> = (0..packets.len()).filter(|&i| !labels[i]).collect();
-        let mut vrng = StdRng::seed_from_u64(cfg.sample_seed ^ 0x4650);
-        normal.shuffle(&mut vrng);
-        normal.truncate(v.sample);
-        let normal_sample: Vec<&HttpPacket> = normal.iter().map(|&i| packets[i]).collect();
-        prune_against_normal(&mut set, &normal_sample, v.max_hits);
-    }
-    drop_dominated(&mut set);
-    let detector = Detector::new(set);
-    let detected = detector.scan(packets.iter().copied());
-    let counts = tally(labels, &detected, &sampled);
-    ExperimentOutcome {
-        rates: counts.rates(),
-        counts,
-        clusters: sample.len().saturating_mul(2).saturating_sub(1),
-        signatures: SignatureSet {
-            signatures: detector.signatures().to_vec(),
-        },
-        timings: StageTimings::default(),
-    }
-}
 
 fn main() {
     let config = cli_config();
@@ -110,9 +64,9 @@ fn main() {
     rule(84);
     for (name, cfg, compressor) in variants {
         let out = match compressor {
-            1 => run_variant(Lzw, &packets, &labels, n, &cfg),
-            2 => run_variant(Lzh::default(), &packets, &labels, n, &cfg),
-            _ => run_variant(Lzss::default(), &packets, &labels, n, &cfg),
+            1 => run_experiment_with(Lzw, &packets, &labels, n, &cfg),
+            2 => run_experiment_with(Lzh::default(), &packets, &labels, n, &cfg),
+            _ => run_experiment_with(Lzss::default(), &packets, &labels, n, &cfg),
         };
         println!(
             "{:<46} {:>7} {:>7} {:>7} {:>6.3} {:>6}",

@@ -1085,14 +1085,12 @@ pub fn analyze(args: &Args) -> Result<i32, String> {
         "text" => {
             println!(
                 "{} signatures under {:?}: {} dominance edge{}, {} proved dead, \
-                 {} refuted shadow{}, {} overlap{}, {} undecided",
+                 {} overlap{}, {} undecided",
                 report.signatures,
                 report.mode,
                 report.dominance.len(),
                 if report.dominance.len() == 1 { "" } else { "s" },
                 report.dead.len(),
-                report.refuted_shadows.len(),
-                if report.refuted_shadows.len() == 1 { "" } else { "s" },
                 report.overlaps.len(),
                 if report.overlaps.len() == 1 { "" } else { "s" },
                 report.undecided.len(),
@@ -1101,14 +1099,6 @@ pub fn analyze(args: &Args) -> Result<i32, String> {
                 println!(
                     "  sig {} dominates sig {}: {}",
                     set.signatures[e.dominator].id, set.signatures[e.dominated].id, e.proof.detail
-                );
-            }
-            for r in &report.refuted_shadows {
-                println!(
-                    "  L007 refuted for sig {} vs sig {}: {}",
-                    set.signatures[r.earlier].id,
-                    set.signatures[r.later].id,
-                    r.witness.describe()
                 );
             }
             println!(

@@ -1,10 +1,10 @@
 //! Whole-set semantic analysis over a [`SignatureSet`] — no live traffic
 //! required.
 //!
-//! The heuristic audit rules (`L006`/`L007`) compare signatures
-//! *syntactically*; this module decides the semantic question behind
-//! them: **A dominates B** iff every packet matching B also matches A,
-//! under the installed [`MatchMode`]. The decision procedures are exact
+//! This module is the one place that decides **A dominates B**: every
+//! packet matching B also matches A, under the installed [`MatchMode`].
+//! Generation-time removal ([`drop_dominated`]), the deploy gate's A001
+//! rule and the linter all ask it. The decision procedures are exact
 //! for [`MatchMode::Conjunction`] and [`MatchMode::Ordered`] and sound
 //! (with an explicit budget) for [`MatchMode::Fraction`]:
 //!
@@ -30,11 +30,13 @@
 //! [`Dominance::Undecided`].
 //!
 //! On top of the pairwise decision sit the set-level artifacts:
-//! [`dead_signatures`]/[`drop_dead`] (proved-unreachable removal),
-//! [`analyze_set`] (lattice + shadow/overlap graph + static cost),
-//! [`fp_exposure`] (corpus-frequency upper bounds on false-positive
-//! rates), and [`diff_generations`] (the semantic diff an operator
-//! reviews before publishing a new generation).
+//! [`drop_dominated`] (redundant-signature removal at generation time),
+//! [`dead_signatures`] (the gate's first-match view: unmatchable, or
+//! dominated by an earlier signature), [`analyze_set`] (lattice +
+//! overlap graph + static cost), [`fp_exposure`] (corpus-frequency upper
+//! bounds on false-positive rates), and [`diff_generations`] (the
+//! semantic diff an operator reviews before publishing a new
+//! generation).
 
 use crate::detect::MatchMode;
 use crate::engine::{contains_bytes, CompiledDetector, FieldCost};
@@ -719,23 +721,61 @@ pub fn dead_signatures(set: &SignatureSet, mode: MatchMode) -> Vec<DeadSignature
     out
 }
 
-/// Remove every proved-dead signature ([`dead_signatures`]) from the set,
-/// returning how many were dropped. Complements the pipeline's
-/// syntactic [`crate::pipeline::drop_dominated`], whose token-count
-/// prescreen misses dominators with more tokens than the dominated
-/// signature.
-pub fn drop_dead(set: &mut SignatureSet, mode: MatchMode) -> usize {
-    let dead = dead_signatures(set, mode);
-    if dead.is_empty() {
-        return 0;
+/// Per field, in [`fidx`] order: how many tokens a signature carries
+/// there and the longest one, leaving out universally present tokens.
+type FieldShape = [(u32, u32); 3];
+
+fn field_shape(sig: &ConjunctionSignature) -> FieldShape {
+    let mut shape = [(0u32, 0u32); 3];
+    for t in sig.tokens.iter().filter(|t| !always_present(t)) {
+        let slot = &mut shape[fidx(t.field)];
+        slot.0 += 1;
+        slot.1 = slot.1.max(t.bytes().len() as u32);
     }
-    let mut is_dead = vec![false; set.signatures.len()];
-    for d in &dead {
-        is_dead[d.index] = true;
+    shape
+}
+
+/// Whether every token of a signature shaped `a` could sit inside a
+/// same-field token of one shaped `b`. Under Conjunction and Ordered a
+/// dominance proof needs exactly that, so `false` means no proof exists.
+fn may_contain(a: &FieldShape, b: &FieldShape) -> bool {
+    a.iter()
+        .zip(b)
+        .all(|(&(na, la), &(nb, lb))| na == 0 || (nb > 0 && la <= lb))
+}
+
+/// Remove every signature the rest of the set makes redundant under
+/// `mode`, returning how many were dropped.
+///
+/// Signatures are visited from last to first. One is dropped when it is
+/// unmatchable, or when [`prove_dominates`] shows that another
+/// signature still in the set dominates it. Each drop leaves its
+/// dominator behind, so the set of packets the set flags is unchanged;
+/// and no survivor is proved to dominate another, so the result clears
+/// the gate's A001/A002 rules. Under Conjunction and Ordered a per-field
+/// token-count and length check skips the pairs no proof can cover.
+pub fn drop_dominated(set: &mut SignatureSet, mode: MatchMode) -> usize {
+    let sigs = &set.signatures;
+    let n = sigs.len();
+    let screen = matches!(mode, MatchMode::Conjunction | MatchMode::Ordered);
+    let shapes: Vec<FieldShape> = sigs.iter().map(field_shape).collect();
+    let mut keep = vec![true; n];
+    for b in (0..n).rev() {
+        // Candidates are tried last first: generation emits dendrogram
+        // nodes bottom-up, so the general signatures that dominate the
+        // most sit at the end, and a dropped signature meets one soonest.
+        keep[b] = unmatchable_reason(&sigs[b], mode).is_none()
+            && !(0..n).rev().any(|a| {
+                a != b
+                    && keep[a]
+                    && (!screen || may_contain(&shapes[a], &shapes[b]))
+                    && prove_dominates(&sigs[a], &sigs[b], mode).is_some()
+            });
     }
-    let mut it = is_dead.iter();
-    set.signatures.retain(|_| !*it.next().unwrap());
-    dead.len()
+    let dropped = keep.iter().filter(|&&k| !k).count();
+    let mut keep = keep.into_iter();
+    set.signatures.retain(|_| keep.next().unwrap());
+    dropped
 }
 
 // ---------------------------------------------------------------------------
@@ -886,7 +926,7 @@ pub fn fp_exposure(
 }
 
 // ---------------------------------------------------------------------------
-// Whole-set analysis: dominance lattice + shadow/overlap graph + cost.
+// Whole-set analysis: dominance lattice + overlap graph + cost.
 // ---------------------------------------------------------------------------
 
 /// A proved dominance edge: every packet matching `dominated` matches
@@ -899,18 +939,6 @@ pub struct DominanceEdge {
     pub dominated: usize,
     /// The per-token containment proof.
     pub proof: DominanceProof,
-}
-
-/// A heuristic shadow (L007 fires) that the analyzer *refuted*: the
-/// witness packet matches the later signature but not the earlier one.
-#[derive(Debug, Clone)]
-pub struct RefutedShadow {
-    /// Set position of the earlier (suspected-shadowing) signature.
-    pub earlier: usize,
-    /// Set position of the later (suspected-shadowed) signature.
-    pub later: usize,
-    /// Dual-verified packet separating the two.
-    pub witness: Witness,
 }
 
 /// Two signatures with no dominance either way that can still fire on
@@ -947,25 +975,12 @@ pub struct SetAnalysis {
     pub dominance: Vec<DominanceEdge>,
     /// Proved-dead signatures (unmatchable or dominated by an earlier one).
     pub dead: Vec<DeadSignature>,
-    /// Heuristic L007 shadows refuted with a concrete witness.
-    pub refuted_shadows: Vec<RefutedShadow>,
     /// Non-dominating pairs with a verified common-match witness.
     pub overlaps: Vec<OverlapEdge>,
     /// Pairs neither proved nor refuted.
     pub undecided: Vec<UndecidedPair>,
     /// Static cost of the compiled set.
     pub cost: CostReport,
-}
-
-/// The syntactic condition behind audit rule L007: every token of `a`
-/// has a same-field containing token in `b`.
-fn heuristic_shadow(a: &ConjunctionSignature, b: &ConjunctionSignature) -> bool {
-    !a.tokens.is_empty()
-        && a.tokens.iter().all(|ta| {
-            b.tokens
-                .iter()
-                .any(|tb| ta.field == tb.field && contains_bytes(tb.bytes(), ta.bytes()))
-        })
 }
 
 /// Try to synthesize a packet matching both signatures: lay out the
@@ -998,15 +1013,14 @@ fn overlap_witness(
 }
 
 /// Analyze a whole set under `mode`: decide dominance for every ordered
-/// pair, detect proved-dead signatures, refute heuristic shadows with
-/// witnesses, find overlapping live pairs, and measure static cost.
+/// pair, detect proved-dead signatures, find overlapping live pairs, and
+/// measure static cost.
 pub fn analyze_set(set: &SignatureSet, mode: MatchMode) -> SetAnalysis {
     let n = set.signatures.len();
     let sigs = &set.signatures;
     let mut dominance = Vec::new();
     let mut undecided = Vec::new();
-    let mut refuted_shadows = Vec::new();
-    // dominance_bits[a] bit b set ⇔ a dominates b (a ≠ b).
+    // dominates_pair[a][b] ⇔ a is proved to dominate b (a ≠ b).
     let mut dominates_pair = vec![vec![false; n]; n];
     for a in 0..n {
         for b in 0..n {
@@ -1023,25 +1037,7 @@ pub fn analyze_set(set: &SignatureSet, mode: MatchMode) -> SetAnalysis {
                     });
                 }
                 Decision::Budget(reason) => undecided.push(UndecidedPair { a, b, reason }),
-                Decision::NotProved(hint) => {
-                    // Upgrade heuristic L007 verdicts: the audit rule
-                    // suspects shadowing when a < b syntactically embeds;
-                    // here the proof failed, so hunt for a separating
-                    // witness to refute the heuristic outright.
-                    if a < b && heuristic_shadow(&sigs[a], &sigs[b]) {
-                        match refute_with_witness(&sigs[a], &sigs[b], mode, hint) {
-                            Dominance::Refuted(witness) => refuted_shadows.push(RefutedShadow {
-                                earlier: a,
-                                later: b,
-                                witness,
-                            }),
-                            Dominance::Undecided(reason) => {
-                                undecided.push(UndecidedPair { a, b, reason })
-                            }
-                            Dominance::Proved(_) => unreachable!("decision was NotProved"),
-                        }
-                    }
-                }
+                Decision::NotProved(_) => {}
             }
         }
     }
@@ -1070,7 +1066,6 @@ pub fn analyze_set(set: &SignatureSet, mode: MatchMode) -> SetAnalysis {
         signatures: n,
         dominance,
         dead,
-        refuted_shadows,
         overlaps,
         undecided,
         cost: cost_report(set, mode),
@@ -1430,7 +1425,7 @@ mod tests {
     }
 
     #[test]
-    fn dead_signatures_and_drop_dead() {
+    fn dead_signatures_and_drop_dominated() {
         let general = sig(1, vec![tok(Field::Body, b"imei=")]);
         let specific = sig(2, vec![tok(Field::Body, b"imei=35519500")]);
         let unrelated = sig(3, vec![tok(Field::Cookie, b"session=")]);
@@ -1445,15 +1440,76 @@ mod tests {
                 by_id: 1
             }
         );
-        assert_eq!(drop_dead(&mut s, MatchMode::Conjunction), 1);
+        assert_eq!(drop_dominated(&mut s, MatchMode::Conjunction), 1);
         let ids: Vec<u32> = s.iter().map(|x| x.id).collect();
         assert_eq!(ids, vec![1, 3]);
     }
 
+    /// A later signature with more tokens than the one it dominates: the
+    /// shape a token-count prescreen skips and an earlier-only scan
+    /// never looks at.
+    #[test]
+    fn later_two_token_signature_drops_earlier_one_token_signature() {
+        let specific = sig(1, vec![tok(Field::Body, b"id=123456&imei=35519500")]);
+        let general = sig(
+            2,
+            vec![tok(Field::Body, b"id=123456"), tok(Field::Body, b"imei=")],
+        );
+        let mut s = set(vec![specific, general]);
+        assert_eq!(drop_dominated(&mut s, MatchMode::Conjunction), 1);
+        let ids: Vec<u32> = s.iter().map(|x| x.id).collect();
+        assert_eq!(ids, vec![2]);
+    }
+
+    /// More removal cases, each as (set, mode, surviving ids).
+    #[test]
+    fn drop_dominated_edge_cases() {
+        let cases = [
+            // Equivalent signatures (each dominates the other): only the
+            // earliest survives, since each drop leaves its dominator.
+            (
+                vec![
+                    sig(1, vec![tok(Field::Body, b"imei=")]),
+                    sig(2, vec![tok(Field::Body, b"imei="), tok(Field::Body, b"mei=")]),
+                    sig(3, vec![tok(Field::Body, b"imei=")]),
+                ],
+                MatchMode::Conjunction,
+                vec![1],
+            ),
+            // The request-line space is in every packet: a dominator made
+            // of it alone needs nothing of the dominated one's fields.
+            (
+                vec![
+                    sig(1, vec![tok(Field::Body, b"imei=35519500")]),
+                    sig(2, vec![tok(Field::RequestLine, b" ")]),
+                ],
+                MatchMode::Conjunction,
+                vec![2],
+            ),
+            // Unmatchable signatures go even when nothing dominates them.
+            (
+                vec![
+                    sig(1, vec![tok(Field::RequestLine, &[0xFF, b'/', b'x'][..])]),
+                    sig(2, vec![tok(Field::Body, b"imei=")]),
+                ],
+                MatchMode::Ordered,
+                vec![2],
+            ),
+        ];
+        for (sigs, mode, expected) in cases {
+            let mut s = set(sigs);
+            let before = s.len();
+            let dropped = drop_dominated(&mut s, mode);
+            let ids: Vec<u32> = s.iter().map(|x| x.id).collect();
+            assert_eq!(ids, expected);
+            assert_eq!(dropped, before - expected.len());
+        }
+    }
+
     #[test]
     fn dominated_by_larger_dominator_is_caught() {
-        // Dominator has MORE tokens than the dominated signature — the
-        // pipeline's syntactic prescreen misses this shape.
+        // Dominator has MORE tokens than the dominated signature: token
+        // counts say nothing about dominance.
         let a = sig(
             1,
             vec![tok(Field::Body, b"id="), tok(Field::Body, b"id=")],
@@ -1484,31 +1540,6 @@ mod tests {
         assert!(report.overlaps.iter().any(|o| o.a == 0 && o.b == 2));
         assert!(report.cost.total_patterns >= 3);
         assert!(report.cost.total_states > 0);
-    }
-
-    #[test]
-    fn analyze_refutes_heuristic_shadow_under_fraction() {
-        // L007's syntactic condition fires (every A token embeds in a B
-        // token), and under Conjunction the dominance is real — but at
-        // Fraction(0.5) B can reach 1/2 via its second token alone while
-        // A stays at 0/1, so the heuristic verdict is refutable.
-        let a = sig(1, vec![tok(Field::Body, b"imei=")]);
-        let b = sig(
-            2,
-            vec![
-                tok(Field::Body, b"imei=35519500"),
-                tok(Field::Cookie, b"track=on"),
-            ],
-        );
-        let s = set(vec![a, b]);
-        let report = analyze_set(&s, MatchMode::Fraction(0.5));
-        assert!(
-            report
-                .refuted_shadows
-                .iter()
-                .any(|r| r.earlier == 0 && r.later == 1),
-            "expected refuted shadow, got {report:?}"
-        );
     }
 
     #[test]

@@ -9,13 +9,17 @@
 //!
 //! This module holds the diagnostic vocabulary ([`Code`], [`Severity`],
 //! [`Diagnostic`]) and the rules that need nothing beyond `leaksig-core`
-//! itself: structural checks, shadowing/subsumption analysis,
+//! itself: structural checks, the analyzer's proved verdicts,
 //! corpus-based generality measurement (over a caller-supplied corpus),
-//! policy cross-references, and wire round-trip fidelity. The
-//! `leaksig-lint` crate layers a bundled normal-traffic corpus and
-//! rendering on top; [`deploy_check`] is the gate `pipeline` and the
-//! device store apply by default.
+//! policy cross-references, and wire round-trip fidelity. Whether one
+//! signature covers another is decided only by [`crate::analyze`].
+//! [`corpus_free`] is the one list of rules that needs no corpus:
+//! [`deploy_check`] (the gate `pipeline` and the device store apply by
+//! default) and the `leaksig-lint` crate, which layers a bundled
+//! normal-traffic corpus and rendering on top, both run it.
 
+use crate::detect::MatchMode;
+use crate::engine::contains_bytes;
 use crate::signature::{ConjunctionSignature, Field, SignatureConfig, SignatureSet};
 use crate::wire;
 use leaksig_http::HttpPacket;
@@ -41,7 +45,8 @@ impl Severity {
 }
 
 /// Stable diagnostic codes. The numeric part never changes meaning; new
-/// rules append.
+/// rules append. L006 (duplicate token set) and L007 (shadowed
+/// signature) are retired: A001 decides both, with a proof.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Code {
     /// L001: a signature has no tokens at all (matches everything).
@@ -56,11 +61,6 @@ pub enum Code {
     /// L005: the signature matches a normal-traffic corpus above the
     /// false-positive threshold.
     CorpusFalsePositive,
-    /// L006: two signatures carry the exact same token set.
-    DuplicateTokenSet,
-    /// L007: an earlier, more general signature makes this one
-    /// unreachable under first-match detection.
-    ShadowedSignature,
     /// L008: cookie/body token on a GET-only cluster.
     FieldTokenOnGet,
     /// L009: order hints are ambiguous or self-contradictory under
@@ -100,8 +100,6 @@ impl Code {
             Code::MissingAnchor => "L003",
             Code::BoilerplateToken => "L004",
             Code::CorpusFalsePositive => "L005",
-            Code::DuplicateTokenSet => "L006",
-            Code::ShadowedSignature => "L007",
             Code::FieldTokenOnGet => "L008",
             Code::OrderHintConflict => "L009",
             Code::UnknownPolicySignature => "L010",
@@ -122,7 +120,6 @@ impl Code {
             | Code::ZeroLengthToken
             | Code::MissingAnchor
             | Code::CorpusFalsePositive
-            | Code::DuplicateTokenSet
             | Code::UnknownPolicySignature
             | Code::WireRoundTripLoss
             | Code::DuplicateId
@@ -130,7 +127,6 @@ impl Code {
             | Code::ProvedUnmatchable
             | Code::ProvedCorpusFp => Severity::Error,
             Code::BoilerplateToken
-            | Code::ShadowedSignature
             | Code::FieldTokenOnGet
             | Code::OrderHintConflict
             | Code::DuplicateTokenBytes
@@ -230,10 +226,6 @@ impl From<&SignatureConfig> for AuditConfig {
     }
 }
 
-fn contains_sub(haystack: &[u8], needle: &[u8]) -> bool {
-    !needle.is_empty() && haystack.windows(needle.len()).any(|w| w == needle)
-}
-
 fn display_token(bytes: &[u8]) -> String {
     format!("{:?}", String::from_utf8_lossy(bytes))
 }
@@ -289,7 +281,10 @@ pub fn signature_structure(
     }
 
     for t in &sig.tokens {
-        if config.boilerplate.iter().any(|b| contains_sub(b, t.bytes())) {
+        // A zero-length token is L002's finding, not boilerplate.
+        let boilerplate = !t.bytes().is_empty()
+            && config.boilerplate.iter().any(|b| contains_bytes(b, t.bytes()));
+        if boilerplate {
             out.push(
                 Diagnostic::new(
                     Code::BoilerplateToken,
@@ -441,68 +436,6 @@ pub fn structural(set: &SignatureSet, config: &AuditConfig) -> Vec<Diagnostic> {
     out
 }
 
-/// Per-field token key used by the subsumption analysis.
-fn token_key(sig: &ConjunctionSignature) -> Vec<(u8, Vec<u8>)> {
-    let mut key: Vec<(u8, Vec<u8>)> = sig
-        .tokens
-        .iter()
-        .map(|t| (t.field as u8, t.bytes().to_vec()))
-        .collect();
-    key.sort();
-    key
-}
-
-/// Shadowing/subsumption findings: L006 (exact duplicates) and L007
-/// (an earlier, more general signature makes a later one unreachable
-/// under the detector's first-match rule).
-pub fn subsumption(set: &SignatureSet) -> Vec<Diagnostic> {
-    let keys: Vec<_> = set.signatures.iter().map(token_key).collect();
-    let mut out = Vec::new();
-    for (later, sig) in set.signatures.iter().enumerate() {
-        for earlier in 0..later {
-            let a = &keys[earlier]; // candidate shadow-er
-            let b = &keys[later];
-            if a == b {
-                out.push(
-                    Diagnostic::new(
-                        Code::DuplicateTokenSet,
-                        format!(
-                            "token set identical to signature {}: dead weight",
-                            set.signatures[earlier].id
-                        ),
-                    )
-                    .on_signature(sig.id)
-                    .suggest("delete the duplicate"),
-                );
-                break;
-            }
-            // `earlier` shadows `later` when each of its tokens is
-            // contained in a same-field token of `later`: every packet
-            // `later` matches, `earlier` already matched first.
-            let implied = !a.is_empty()
-                && a.iter().all(|(fa, ta)| {
-                    b.iter().any(|(fb, tb)| fa == fb && contains_sub(tb, ta))
-                });
-            if implied {
-                out.push(
-                    Diagnostic::new(
-                        Code::ShadowedSignature,
-                        format!(
-                            "unreachable under first-match detection: signature {} \
-                             (earlier, more general) matches everything this one matches",
-                            set.signatures[earlier].id
-                        ),
-                    )
-                    .on_signature(sig.id)
-                    .suggest("drop this signature or move it before the general one"),
-                );
-                break;
-            }
-        }
-    }
-    out
-}
-
 /// Generality measurement against a normal-traffic corpus (L005): a
 /// signature matching more than `max_fraction` of `corpus` would fire on
 /// benign traffic at that rate — the §VI false-positive hazard in its
@@ -618,9 +551,9 @@ pub fn has_errors(diagnostics: &[Diagnostic]) -> bool {
 
 /// Proved-verdict findings from [`crate::analyze::dead_signatures`]:
 /// A002 for provably-unmatchable signatures, A001 for signatures an
-/// earlier signature provably dominates under `mode`. Unlike L007 this
-/// carries a proof, so both are Errors.
-pub fn semantic_dead(set: &SignatureSet, mode: crate::detect::MatchMode) -> Vec<Diagnostic> {
+/// earlier signature provably dominates under `mode` (exact duplicates
+/// included). Each carries a proof, so both are Errors.
+pub fn semantic_dead(set: &SignatureSet, mode: MatchMode) -> Vec<Diagnostic> {
     crate::analyze::dead_signatures(set, mode)
         .into_iter()
         .map(|d| match d.reason {
@@ -650,7 +583,7 @@ pub fn semantic_dead(set: &SignatureSet, mode: crate::detect::MatchMode) -> Vec<
 pub fn corpus_fp_bounds(
     set: &SignatureSet,
     corpus: &[&HttpPacket],
-    mode: crate::detect::MatchMode,
+    mode: MatchMode,
     max_fraction: f64,
 ) -> Vec<Diagnostic> {
     crate::analyze::fp_exposure(set, corpus, mode, max_fraction)
@@ -726,22 +659,28 @@ pub fn cost_findings(cost: &crate::analyze::CostReport, budget: &CostBudget) -> 
     out
 }
 
-/// The deploy gate: the corpus-free rules (structural, subsumption, wire
-/// round-trip) under default parameters, plus the analyzer's proved
-/// verdicts ([`semantic_dead`] under Conjunction — A001/A002), reduced
-/// to Error-level findings. `Ok(())` means the set may ship; `Err`
-/// carries the blocking findings.
+/// The rules that need nothing but the set: structural (under
+/// `config`), the analyzer's proved verdicts under Conjunction
+/// ([`semantic_dead`] — A001/A002), and wire round-trip. The deploy gate
+/// and the linter both run exactly this list, so they cannot disagree
+/// on a set.
+pub fn corpus_free(set: &SignatureSet, config: &AuditConfig) -> Vec<Diagnostic> {
+    let mut out = structural(set, config);
+    out.extend(semantic_dead(set, MatchMode::Conjunction));
+    out.extend(wire_round_trip(set));
+    out
+}
+
+/// The deploy gate: the [`corpus_free`] rules under default parameters,
+/// reduced to Error-level findings. `Ok(())` means the set may ship;
+/// `Err` carries the blocking findings.
 ///
 /// This is what [`crate::pipeline`] and the device store apply by
 /// default. The full linter (`leaksig-lint`) additionally measures
 /// corpus false positives and renders reports.
 pub fn deploy_check(set: &SignatureSet) -> Result<(), Vec<Diagnostic>> {
-    let config = AuditConfig::default();
-    let mut errors: Vec<Diagnostic> = structural(set, &config)
+    let mut errors: Vec<Diagnostic> = corpus_free(set, &AuditConfig::default())
         .into_iter()
-        .chain(subsumption(set))
-        .chain(wire_round_trip(set))
-        .chain(semantic_dead(set, crate::detect::MatchMode::Conjunction))
         .filter(|d| d.severity == Severity::Error)
         .collect();
     if errors.is_empty() {
@@ -937,7 +876,7 @@ mod tests {
             )],
         );
         let s = set_of(vec![general, specific, unmatchable]);
-        let diags = semantic_dead(&s, crate::detect::MatchMode::Conjunction);
+        let diags = semantic_dead(&s, MatchMode::Conjunction);
         assert!(diags
             .iter()
             .any(|d| d.code == Code::ProvedDead && d.signature_id == Some(2)));
@@ -957,7 +896,7 @@ mod tests {
             1,
             vec![FieldToken::new(Field::Body, &b"imei=355195000000017"[..])],
         )]);
-        let cost = crate::analyze::cost_report(&s, crate::detect::MatchMode::Conjunction);
+        let cost = crate::analyze::cost_report(&s, MatchMode::Conjunction);
         assert!(cost_findings(&cost, &CostBudget::default()).is_empty());
         let tiny = CostBudget {
             max_states: 1,
@@ -990,29 +929,36 @@ mod tests {
             vec![FieldToken::new(Field::Body, &b"imei=355195000000017"[..])],
         );
         let s = set_of(vec![over, under]);
-        let diags = corpus_fp_bounds(&s, &corpus, crate::detect::MatchMode::Conjunction, 0.05);
+        let diags = corpus_fp_bounds(&s, &corpus, MatchMode::Conjunction, 0.05);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::ProvedCorpusFp);
         assert_eq!(diags[0].signature_id, Some(1));
         assert_eq!(diags[0].severity, Severity::Error);
     }
 
+    /// Proved dominance findings of the shared rule list on the given
+    /// set, as `(signature id, severity)`.
+    fn proved_dead(s: &SignatureSet) -> Vec<(Option<u32>, Severity)> {
+        corpus_free(s, &AuditConfig::default())
+            .into_iter()
+            .filter(|d| d.code == Code::ProvedDead)
+            .map(|d| (d.signature_id, d.severity))
+            .collect()
+    }
+
     #[test]
-    fn exact_duplicate_token_sets_are_an_error() {
+    fn exact_duplicate_token_sets_are_proved_dead() {
         let tok = || vec![FieldToken::new(Field::Body, &b"udid=dd72cbaeab8d2e44"[..])];
         let s = set_of(vec![sig(1, tok()), sig(2, tok())]);
-        let diags = subsumption(&s);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, Code::DuplicateTokenSet);
-        assert_eq!(diags[0].signature_id, Some(2), "the later one is flagged");
+        // The later one is flagged.
+        assert_eq!(proved_dead(&s), vec![(Some(2), Severity::Error)]);
         assert!(deploy_check(&s).is_err());
     }
 
-    /// The acceptance-criteria shadowing case: an earlier signature whose
-    /// single token is contained in the later one's token makes the later
-    /// one unreachable.
+    /// An earlier signature whose single token is contained in the later
+    /// one's token makes the later one unreachable: a proved A001 Error.
     #[test]
-    fn earlier_general_signature_shadows_later_specific_one() {
+    fn earlier_general_signature_makes_later_specific_one_dead() {
         let general = sig(
             10,
             vec![FieldToken::new(Field::Body, &b"imei=355195"[..])],
@@ -1025,13 +971,10 @@ mod tests {
             ],
         );
         let s = set_of(vec![general, specific]);
-        let diags = subsumption(&s);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, Code::ShadowedSignature);
-        assert_eq!(diags[0].signature_id, Some(11));
-        assert_eq!(diags[0].severity, Severity::Warning);
+        assert_eq!(proved_dead(&s), vec![(Some(11), Severity::Error)]);
+        assert!(deploy_check(&s).is_err());
 
-        // Reversed order: the specific one runs first, nothing shadowed.
+        // Reversed order: the specific one runs first, nothing is dead.
         let s = set_of(vec![
             sig(11, vec![
                 FieldToken::new(Field::Body, &b"imei=355195000000017"[..]),
@@ -1039,17 +982,17 @@ mod tests {
             ]),
             sig(10, vec![FieldToken::new(Field::Body, &b"imei=355195"[..])]),
         ]);
-        assert!(subsumption(&s).is_empty());
+        assert!(proved_dead(&s).is_empty());
     }
 
     #[test]
-    fn cross_field_containment_does_not_shadow() {
+    fn cross_field_containment_is_not_dead() {
         // Same bytes, different field: no implication.
         let s = set_of(vec![
             sig(0, vec![FieldToken::new(Field::Cookie, &b"imei=355195"[..])]),
             sig(1, vec![FieldToken::new(Field::Body, &b"imei=355195000000017"[..])]),
         ]);
-        assert!(subsumption(&s).is_empty());
+        assert!(proved_dead(&s).is_empty());
     }
 
     #[test]
@@ -1127,7 +1070,7 @@ mod tests {
     fn display_formats() {
         let d = Diagnostic::new(Code::MissingAnchor, "msg").on_signature(4);
         assert_eq!(d.to_string(), "error[L003] sig 4: msg");
-        assert_eq!(Code::ShadowedSignature.to_string(), "L007");
+        assert_eq!(Code::ProvedDead.to_string(), "A001");
         assert_eq!(Severity::Warning.label(), "warning");
         assert!(!has_errors(&[Diagnostic::new(Code::BoilerplateToken, "x")]));
         assert!(has_errors(&[Diagnostic::new(Code::DuplicateId, "x")]));

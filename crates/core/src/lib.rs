@@ -23,10 +23,11 @@
 //! * [`audit`] — static auditing of finished sets: the diagnostic
 //!   vocabulary and the deploy gate (§VI's hazards, re-checked at the
 //!   deployment boundary; `leaksig-lint` builds on it).
-//! * [`analyze`] — whole-set semantic analysis: proved subsumption
-//!   lattice per [`detect::MatchMode`], dead-signature detection with
-//!   witness traces, generation diffs, and static cost / FP-exposure
-//!   bounds (the proved counterpart of [`audit`]'s heuristics).
+//! * [`analyze`] — whole-set semantic analysis and the one place that
+//!   decides whether one signature covers another: proved subsumption
+//!   lattice per [`detect::MatchMode`], redundant-signature removal,
+//!   dead-signature detection with witness traces, generation diffs,
+//!   and static cost / FP-exposure bounds.
 //! * [`engine`] — the compiled detection engine: per-field multi-pattern
 //!   token automata + counting conjunction evaluation (one linear pass
 //!   per packet evaluates every signature).
@@ -77,7 +78,7 @@ pub mod wire;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use crate::analyze::{
-        analyze_set, dead_signatures, diff_generations, dominates, drop_dead, fp_exposure,
+        analyze_set, dead_signatures, diff_generations, dominates, drop_dominated, fp_exposure,
         prove_dominates, set_matches, ChangeKind, CostReport, DeadReason, DeadSignature,
         Dominance, DominanceProof, FpExposure, GenerationDiff, SetAnalysis, Witness,
     };
@@ -95,10 +96,10 @@ pub mod prelude {
     pub use crate::matrix::{pairwise, CondensedMatrix};
     pub use crate::payload::{Needle, PayloadCheck};
     pub use crate::pipeline::{
-        drop_dominated, generate_signatures, generate_signatures_counted, generate_signatures_with,
-        prune_against_normal, regeneration_pass, run_experiment, run_experiment_refs,
-        ClusterSelection, ExperimentOutcome, FpValidation, GeneratedSignatures, PipelineConfig,
-        StageTimings,
+        generate_signatures, generate_signatures_counted, generate_signatures_with,
+        prune_against_normal, regeneration_pass, regeneration_pass_with, run_experiment,
+        run_experiment_refs, run_experiment_with, ClusterSelection, ExperimentOutcome,
+        FpValidation, GeneratedSignatures, PipelineConfig, StageTimings,
     };
     pub use crate::signature::{
         signature_from_cluster, ConjunctionSignature, Field, FieldToken, SignatureConfig,

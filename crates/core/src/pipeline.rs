@@ -1,8 +1,9 @@
 //! The end-to-end pipeline of Fig. 3a: payload check → sample → cluster →
 //! signature generation → detection → evaluation.
 
+use crate::analyze::drop_dominated;
 use crate::cluster::{agglomerate, Dendrogram};
-use crate::detect::Detector;
+use crate::detect::{Detector, MatchMode};
 use crate::distance::{DistanceConfig, PacketDistance, PacketFeatures};
 use crate::eval::{tally, Counts, Rates};
 use crate::matrix::pairwise;
@@ -34,7 +35,8 @@ pub struct StageTimings {
     pub cluster_ms: f64,
     /// Token extraction, dedup, and the deploy gate.
     pub signatures_ms: f64,
-    /// Benign-traffic validation plus dominated-signature removal.
+    /// Benign-traffic validation, the structural gate and
+    /// dominated-signature removal.
     pub prune_ms: f64,
 }
 
@@ -183,7 +185,7 @@ pub fn prune_against_normal(
     if set.is_empty() || normal_sample.is_empty() {
         return;
     }
-    let engine = crate::engine::CompiledDetector::compile(set, crate::detect::MatchMode::Conjunction);
+    let engine = crate::engine::CompiledDetector::compile(set, MatchMode::Conjunction);
     let mut scratch = engine.scratch();
     let mut hits = vec![0usize; set.len()];
     for p in normal_sample {
@@ -277,7 +279,7 @@ pub fn generate_signatures_counted<C: leaksig_compress::Compressor + Sync>(
         // (A001/A002), so gated output must clear them too. Safe here
         // because this function never prunes against benign traffic; the
         // pruning paths defer the whole gate until after validation.
-        crate::analyze::drop_dead(&mut set, crate::detect::MatchMode::Conjunction);
+        drop_dominated(&mut set, MatchMode::Conjunction);
     }
     timings.signatures_ms = ms_since(t);
     GeneratedSignatures {
@@ -474,11 +476,14 @@ fn distinct_candidates<'a>(
 
 /// One complete regeneration pass: §IV generation over `sample`,
 /// benign-traffic pruning against `normal` (when the config enables
-/// validation), and dominated-signature removal — the exact sequence the
-/// collection server runs outside its state lock. Factored out so a
-/// regeneration supervisor can run the identical pass on a worker thread
-/// (and on bisected sub-samples) without duplicating the ordering, which
-/// is load-bearing: pruning must precede [`drop_dominated`].
+/// validation; an empty `normal` prunes nothing), the structural gate,
+/// and dominated-signature removal — the exact sequence the collection
+/// server runs outside its state lock and the experiment driver runs
+/// before detection. Factored out so a regeneration supervisor can run
+/// the identical pass on a worker thread (and on bisected sub-samples)
+/// without duplicating the ordering, which is load-bearing: pruning
+/// must precede [`drop_dominated`], or a general signature that
+/// validation rejects could first swallow its specific children.
 ///
 /// Returns the set together with the pass's [`StageTimings`] (all five
 /// stages, pruning included).
@@ -487,12 +492,22 @@ pub fn regeneration_pass(
     normal: &[&HttpPacket],
     config: &PipelineConfig,
 ) -> GeneratedSignatures {
-    // Defer the deploy gate past benign pruning: gate-time dead-signature
-    // removal must not let a general signature swallow its specific
-    // children before validation has had a chance to reject it.
-    let mut gen_config = config.clone();
-    gen_config.deploy_gate = false;
-    let mut generated = generate_signatures_counted(Lzss::default(), sample, &gen_config);
+    regeneration_pass_with(Lzss::default(), sample, normal, config)
+}
+
+/// [`regeneration_pass`] under an explicit NCD compressor (the ablation
+/// benchmark swaps in LZW).
+pub fn regeneration_pass_with<C: leaksig_compress::Compressor + Sync>(
+    compressor: C,
+    sample: &[&HttpPacket],
+    normal: &[&HttpPacket],
+    config: &PipelineConfig,
+) -> GeneratedSignatures {
+    let gen_config = PipelineConfig {
+        deploy_gate: false,
+        ..config.clone()
+    };
+    let mut generated = generate_signatures_counted(compressor, sample, &gen_config);
     let set = &mut generated.set;
     let t = Instant::now();
     if let Some(v) = config.fp_validation {
@@ -501,11 +516,7 @@ pub fn regeneration_pass(
     if config.deploy_gate {
         retain_structurally_clean(set);
     }
-    drop_dominated(set);
-    // The syntactic prescreen above misses dominators with more tokens
-    // than the dominated signature; the analyzer's proved verdicts catch
-    // the remainder, so the published artifact clears the A001/A002 gate.
-    crate::analyze::drop_dead(set, crate::detect::MatchMode::Conjunction);
+    drop_dominated(set, MatchMode::Conjunction);
     generated.timings.prune_ms = ms_since(t);
     generated
 }
@@ -521,77 +532,6 @@ fn retain_structurally_clean(set: &mut SignatureSet) {
             .iter()
             .any(|d| d.severity == crate::audit::Severity::Error)
     });
-}
-
-/// Remove signatures whose token set is a superset of another signature's
-/// (same-field containment): whatever the superset matches, the more
-/// general signature already matches, so the superset is dead weight. This
-/// collapses the leaf-level singleton explosion under
-/// [`ClusterSelection::AllNodes`].
-///
-/// Run this **after** [`prune_against_normal`]: a general signature that
-/// validation later rejects must not have swallowed its specific children
-/// first.
-pub fn drop_dominated(set: &mut SignatureSet) {
-    let signatures = &mut set.signatures;
-    let n = signatures.len();
-    // Token views are borrowed, not re-allocated per comparison; alongside
-    // each signature's tokens we precompute per-field token counts and the
-    // per-field maximum token length, which give two O(1) rejections
-    // before any substring work:
-    //   * a token of A in a field where B has none can never be contained;
-    //   * a token of length L only fits inside a token of length ≥ L.
-    let token_sets: Vec<Vec<(u8, &[u8])>> = signatures
-        .iter()
-        .map(|s| {
-            s.tokens
-                .iter()
-                .map(|t| (t.field as u8, t.bytes()))
-                .collect()
-        })
-        .collect();
-    let field_stats: Vec<[(u32, u32); 3]> = token_sets
-        .iter()
-        .map(|toks| {
-            let mut stats = [(0u32, 0u32); 3]; // (count, max_len) per field
-            for &(f, bytes) in toks {
-                let slot = &mut stats[f as usize];
-                slot.0 += 1;
-                slot.1 = slot.1.max(bytes.len() as u32);
-            }
-            stats
-        })
-        .collect();
-    // Only signatures with ≤ |B| tokens can dominate B: iterate potential
-    // dominators in ascending token count and stop early.
-    let mut by_len: Vec<usize> = (0..n).collect();
-    by_len.sort_by_key(|&i| token_sets[i].len());
-
-    // A dominates B when every token of A is contained in some token of B
-    // with the same field (so B's constraints imply A's).
-    let dominated: Vec<bool> = (0..n)
-        .map(|b| {
-            by_len
-                .iter()
-                .take_while(|&&a| token_sets[a].len() <= token_sets[b].len())
-                .any(|&a| {
-                    a != b
-                        && (0..3).all(|f| {
-                            field_stats[a][f].0 == 0
-                                || (field_stats[b][f].0 > 0
-                                    && field_stats[a][f].1 <= field_stats[b][f].1)
-                        })
-                        && token_sets[a] != token_sets[b]
-                        && token_sets[a].iter().all(|&(fa, ta)| {
-                            token_sets[b]
-                                .iter()
-                                .any(|&(fb, tb)| fa == fb && crate::engine::contains_bytes(tb, ta))
-                        })
-                })
-        })
-        .collect();
-    let mut keep = dominated.iter().map(|d| !d);
-    signatures.retain(|_| keep.next().unwrap());
 }
 
 /// Outcome of one experiment run.
@@ -630,6 +570,18 @@ pub fn run_experiment_refs(
     n: usize,
     config: &PipelineConfig,
 ) -> ExperimentOutcome {
+    run_experiment_with(Lzss::default(), packets, sensitive, n, config)
+}
+
+/// [`run_experiment_refs`] under an explicit NCD compressor (the
+/// ablation benchmark swaps in LZW).
+pub fn run_experiment_with<C: leaksig_compress::Compressor + Sync>(
+    compressor: C,
+    packets: &[&HttpPacket],
+    sensitive: &[bool],
+    n: usize,
+    config: &PipelineConfig,
+) -> ExperimentOutcome {
     assert_eq!(packets.len(), sensitive.len());
 
     // Sample N suspicious packets.
@@ -643,46 +595,35 @@ pub fn run_experiment_refs(
         sampled[i] = true;
     }
 
-    // Generate; the candidate-node count is the diagnostic here (under
-    // `AllNodes` selection a fixed cut is not meaningful). The counted
-    // variant reports the cluster count from the same dendrogram the
-    // signatures came from — the pairwise NCD matrix is computed once.
-    // Same gate deferral as `regeneration_pass`: validate first, gate after.
-    let mut gen_config = config.clone();
-    gen_config.deploy_gate = false;
-    let generated = generate_signatures_counted(Lzss::default(), &sample, &gen_config);
-    let clusters = generated.clusters;
-    let mut timings = generated.timings;
-    let mut signatures = generated.set;
-    let t = Instant::now();
-    if let Some(v) = config.fp_validation {
-        let mut normal: Vec<usize> = (0..packets.len()).filter(|&i| !sensitive[i]).collect();
-        let mut vrng = StdRng::seed_from_u64(config.sample_seed ^ 0x4650);
-        normal.shuffle(&mut vrng);
-        normal.truncate(v.sample);
-        let normal_sample: Vec<&HttpPacket> = normal.iter().map(|&i| packets[i]).collect();
-        prune_against_normal(&mut signatures, &normal_sample, v.max_hits);
-    }
-    if config.deploy_gate {
-        retain_structurally_clean(&mut signatures);
-    }
-    drop_dominated(&mut signatures);
-    crate::analyze::drop_dead(&mut signatures, crate::detect::MatchMode::Conjunction);
-    timings.prune_ms = ms_since(t);
+    // The benign vetting sample, drawn only when validation is on.
+    let normal_sample: Vec<&HttpPacket> = match config.fp_validation {
+        Some(v) => {
+            let mut normal: Vec<usize> = (0..packets.len()).filter(|&i| !sensitive[i]).collect();
+            let mut vrng = StdRng::seed_from_u64(config.sample_seed ^ 0x4650);
+            normal.shuffle(&mut vrng);
+            normal.truncate(v.sample);
+            normal.iter().map(|&i| packets[i]).collect()
+        }
+        None => Vec::new(),
+    };
+    // The candidate-node count is the diagnostic here (under `AllNodes`
+    // selection a fixed cut is not meaningful); the pass reports it from
+    // the same dendrogram the signatures came from.
+    let generated = regeneration_pass_with(compressor, &sample, &normal_sample, config);
 
     // Detect over the full dataset.
-    let detector = Detector::new(signatures);
+    let detector = Detector::new(generated.set);
     let detected = detector.scan(packets.iter().copied());
 
     let counts = tally(sensitive, &detected, &sampled);
     ExperimentOutcome {
         rates: counts.rates(),
         counts,
-        clusters,
+        clusters: generated.clusters,
         signatures: SignatureSet {
             signatures: detector.signatures().to_vec(),
         },
-        timings,
+        timings: generated.timings,
     }
 }
 
@@ -860,11 +801,30 @@ mod tests {
         crate::audit::deploy_check(&set).expect("clean regeneration is gate-clean");
     }
 
-    /// The regeneration pass leaves no signature the analyzer can prove
-    /// dead: the published artifact clears the semantic A001/A002 gate,
-    /// including dominators the syntactic prescreen cannot see.
+    /// No survivor is proved to dominate another, in either order — so
+    /// nothing the set publishes is redundant and the A001/A002 gate
+    /// has nothing to refuse.
+    fn assert_no_survivor_dominates_another(set: &SignatureSet) {
+        for a in set.iter() {
+            for b in set.iter().filter(|b| !std::ptr::eq(*b, a)) {
+                assert!(
+                    crate::analyze::prove_dominates(a, b, MatchMode::Conjunction).is_none(),
+                    "survivor {} dominates survivor {}",
+                    a.id,
+                    b.id
+                );
+            }
+        }
+        let dead = crate::analyze::dead_signatures(set, MatchMode::Conjunction);
+        assert!(dead.is_empty(), "proved-dead survivors: {dead:?}");
+    }
+
+    /// The regeneration pass leaves no signature another survivor
+    /// covers, whichever of the two comes first, on the hand-built
+    /// dataset and on a netsim market sample.
     #[test]
     fn regeneration_output_has_no_proved_dead_signatures() {
+        use leaksig_netsim::{Dataset, MarketConfig};
         let (packets, sensitive) = mini_dataset();
         let sample: Vec<&HttpPacket> = packets[..60].iter().collect();
         let normal: Vec<&HttpPacket> = packets
@@ -874,78 +834,18 @@ mod tests {
             .map(|(_, p)| p)
             .collect();
         let set = regeneration_pass(&sample, &normal, &PipelineConfig::default()).set;
-        let dead = crate::analyze::dead_signatures(&set, crate::detect::MatchMode::Conjunction);
-        assert!(dead.is_empty(), "proved-dead survivors: {dead:?}");
-    }
+        assert!(!set.is_empty());
+        assert_no_survivor_dominates_another(&set);
 
-    /// The prescreened [`drop_dominated`] keeps exactly the signatures
-    /// the naive O(S²·T²) definition keeps — pinned on a set engineered
-    /// to hit every prescreen branch: equal sets (kept), field-mismatch
-    /// (kept), shorter-token containment (dropped), and a longer-set
-    /// non-dominator.
-    #[test]
-    fn drop_dominated_matches_naive_definition() {
-        use crate::signature::{ConjunctionSignature, Field, FieldToken};
-
-        let tok = |field: Field, bytes: &str| FieldToken::new(field, bytes.as_bytes());
-        let sig = |id: u32, tokens: Vec<FieldToken>| ConjunctionSignature {
-            id,
-            tokens,
-            cluster_size: 1,
-            hosts: Vec::new(),
-        };
-        let set = SignatureSet {
-            signatures: vec![
-                // General: single short token. Dominates 1 and 3.
-                sig(0, vec![tok(Field::RequestLine, "imei=")]),
-                // Specific superset of 0 in the same field.
-                sig(1, vec![tok(Field::RequestLine, "imei=355195000000017")]),
-                // Same token, different field: no domination either way.
-                sig(2, vec![tok(Field::Body, "imei=")]),
-                // Two tokens, one containing 0's: dominated by 0.
-                sig(
-                    3,
-                    vec![
-                        tok(Field::RequestLine, "x-imei=42"),
-                        tok(Field::Cookie, "session"),
-                    ],
-                ),
-                // Exact duplicate token set of 2: neither drops the other.
-                sig(4, vec![tok(Field::Body, "imei=")]),
-            ],
-        };
-
-        let naive_survivors = |set: &SignatureSet| -> Vec<u32> {
-            let contains = |hay: &[u8], nee: &[u8]| hay.windows(nee.len()).any(|w| w == nee);
-            let views: Vec<Vec<(u8, &[u8])>> = set
-                .signatures
-                .iter()
-                .map(|s| s.tokens.iter().map(|t| (t.field as u8, t.bytes())).collect())
-                .collect();
-            set.signatures
-                .iter()
-                .enumerate()
-                .filter(|&(b, _)| {
-                    !(0..views.len()).any(|a| {
-                        a != b
-                            && views[a].len() <= views[b].len()
-                            && views[a] != views[b]
-                            && views[a].iter().all(|&(fa, ta)| {
-                                views[b].iter().any(|&(fb, tb)| fa == fb && contains(tb, ta))
-                            })
-                    })
-                })
-                .map(|(_, s)| s.id)
-                .collect()
-        };
-
-        let expected = naive_survivors(&set);
-        assert_eq!(expected, vec![0, 2, 4], "naive oracle sanity");
-
-        let mut pruned = set;
-        drop_dominated(&mut pruned);
-        let got: Vec<u32> = pruned.signatures.iter().map(|s| s.id).collect();
-        assert_eq!(got, expected);
+        let data = Dataset::generate(MarketConfig::scaled(41, 0.05));
+        let (suspicious, normal): (Vec<_>, Vec<_>) =
+            data.packets.iter().partition(|p| p.is_sensitive());
+        let sample: Vec<&HttpPacket> =
+            suspicious.iter().map(|p| &p.packet).step_by(3).take(300).collect();
+        let normal: Vec<&HttpPacket> = normal.iter().map(|p| &p.packet).take(2000).collect();
+        let set = regeneration_pass(&sample, &normal, &PipelineConfig::default()).set;
+        assert!(!set.is_empty());
+        assert_no_survivor_dominates_another(&set);
     }
 
     /// The counted generation reports the same cluster diagnostic the
@@ -1047,7 +947,7 @@ mod tests {
         let mut set = SignatureSet { signatures };
         if config.deploy_gate {
             retain_structurally_clean(&mut set);
-            crate::analyze::drop_dead(&mut set, crate::detect::MatchMode::Conjunction);
+            drop_dominated(&mut set, MatchMode::Conjunction);
         }
         (set, count)
     }

@@ -13,6 +13,7 @@
 //! * a surviving signature must retain at least one *anchor* token of a
 //!   minimum length, otherwise it is discarded entirely.
 
+use crate::engine::contains_bytes;
 use crate::payload::Needle;
 use leaksig_http::HttpPacket;
 use leaksig_textdist::{common_token_set, TokenConfig};
@@ -252,10 +253,6 @@ fn default_boilerplate() -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn contains_sub(haystack: &[u8], needle: &[u8]) -> bool {
-    needle.is_empty() || haystack.windows(needle.len()).any(|w| w == needle)
-}
-
 /// First occurrence of `needle` in `hay[from..]`, as an absolute offset.
 fn find_from(hay: &[u8], needle: &[u8], from: usize) -> Option<usize> {
     if from >= hay.len() || needle.is_empty() || needle.len() > hay.len() - from {
@@ -334,7 +331,7 @@ pub(crate) fn select_tokens<'a>(
     let mut tokens: Vec<SelectedToken<'a>> = Vec::new();
     for ((field, set), reference) in Field::ALL.into_iter().zip(token_sets).zip(reference) {
         for &tok in set.iter().take(config.token.max_tokens) {
-            let generic = config.boilerplate.iter().any(|b| contains_sub(b, tok));
+            let generic = config.boilerplate.iter().any(|b| contains_bytes(b, tok));
             if !generic {
                 let hint = find_from(reference, tok, 0).unwrap_or(0) as u32;
                 tokens.push((field, tok, hint));
@@ -447,7 +444,7 @@ mod tests {
         let has_id = sig
             .tokens
             .iter()
-            .any(|t| contains_sub(t.bytes(), b"f3a9c1d200b14e77"));
+            .any(|t| contains_bytes(t.bytes(), b"f3a9c1d200b14e77"));
         assert!(has_id, "tokens: {:?}", sig.tokens);
         // And the signature matches all members plus a fresh same-module
         // packet.

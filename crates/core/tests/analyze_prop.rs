@@ -2,7 +2,9 @@
 //! never disagree with brute-force dual evaluation of both signatures
 //! over concretely constructed packets, in any [`MatchMode`].
 
-use leaksig_core::analyze::{dominates, drop_dead, prove_dominates, set_matches, Dominance};
+use leaksig_core::analyze::{
+    dominates, drop_dominated, prove_dominates, set_matches, Dominance,
+};
 use leaksig_core::prelude::*;
 use leaksig_core::signature::{ConjunctionSignature, Field, FieldToken};
 use leaksig_http::{Destination, HttpPacket, Method, RequestLine};
@@ -152,10 +154,11 @@ proptest! {
         }
     }
 
-    /// Removing proved-dead signatures never changes the whole-set
-    /// verdict of any enumerated packet, in any mode.
+    /// Removing dominated signatures never changes the whole-set verdict
+    /// of any enumerated packet, in any mode, and leaves no survivor
+    /// proved to dominate another.
     #[test]
-    fn drop_dead_preserves_set_semantics(
+    fn drop_dominated_preserves_set_semantics(
         sigs in proptest::collection::vec(proptest::collection::vec(arb_sig_token(), 1..3), 1..4)
     ) {
         let set = SignatureSet {
@@ -178,13 +181,22 @@ proptest! {
         }
         for mode in MODES {
             let mut reduced = set.clone();
-            drop_dead(&mut reduced, mode);
+            let dropped = drop_dominated(&mut reduced, mode);
+            prop_assert_eq!(dropped + reduced.len(), set.len());
             for p in &packets {
                 prop_assert_eq!(
                     set_matches(&set, mode, p),
                     set_matches(&reduced, mode, p),
                     "any-match changed under {:?}", mode
                 );
+            }
+            for (i, a) in reduced.iter().enumerate() {
+                for (j, b) in reduced.iter().enumerate() {
+                    prop_assert!(
+                        i == j || prove_dominates(a, b, mode).is_none(),
+                        "survivor {} dominates survivor {} under {:?}", a.id, b.id, mode
+                    );
+                }
             }
         }
     }

@@ -107,19 +107,18 @@ impl Linter {
         &self.corpus
     }
 
-    /// Run every set-level rule: structural, shadowing/subsumption,
-    /// corpus generality, and wire round-trip. Findings are ordered by
+    /// Run every set-level rule: the corpus-free list the deploy gate
+    /// runs ([`audit::corpus_free`]: structural, proved dead/unmatchable,
+    /// wire round-trip) plus corpus generality. Findings are ordered by
     /// severity (errors first), then signature id, then code.
     pub fn lint(&self, set: &SignatureSet) -> Vec<Diagnostic> {
         let refs: Vec<&HttpPacket> = self.corpus.iter().collect();
-        let mut out = audit::structural(set, &self.config.audit);
-        out.extend(audit::subsumption(set));
+        let mut out = audit::corpus_free(set, &self.config.audit);
         out.extend(audit::corpus_false_positives(
             set,
             &refs,
             self.config.corpus_max_fraction,
         ));
-        out.extend(audit::wire_round_trip(set));
         sort_report(&mut out);
         out
     }

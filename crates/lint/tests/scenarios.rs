@@ -103,7 +103,8 @@ fn corpus_rule_catches_long_generic_tokens() {
 }
 
 /// Shadowing at the linter level: two signatures where the earlier
-/// subsumes the later produce exactly one L007 on the later id.
+/// subsumes the later produce exactly one proved A001 Error on the later
+/// id — the same verdict the deploy gate gives, so lint exits non-zero.
 #[test]
 fn shadowing_pair_is_reported() {
     let general = ConjunctionSignature {
@@ -127,11 +128,13 @@ fn shadowing_pair_is_reported() {
     let report = Linter::new().lint(&set);
     let shadowed: Vec<_> = report
         .iter()
-        .filter(|d| d.code == Code::ShadowedSignature)
+        .filter(|d| d.code == Code::ProvedDead)
         .collect();
     assert_eq!(shadowed.len(), 1, "report: {}", render_text(&report));
     assert_eq!(shadowed[0].signature_id, Some(9));
-    assert_eq!(shadowed[0].severity, Severity::Warning);
+    assert_eq!(shadowed[0].severity, Severity::Error);
+    assert!(has_errors(&report));
+    assert!(deploy_check(&set).is_err(), "lint and the gate agree");
 }
 
 /// JSON rendering of a real report stays parseable-by-eye and carries the

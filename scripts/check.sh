@@ -57,8 +57,9 @@ DISK_SEEDS="$DISK_SEEDS" cargo test --quiet --test disk_chaos
 
 # Semantic analyze gate: generate two consecutive signature generations
 # and require the analyzer to prove the shipped set free of dead/FP
-# signatures (exit 1 on any proved finding fails the gate via set -e),
-# then exercise the generation diff between them.
+# signatures and the linter to find no Error in it (exit 1 on any
+# finding fails the gate via set -e), then exercise the generation diff
+# between them.
 echo "==> analyze gate"
 cargo build --release -p leaksig-cli
 ANALYZE_DIR="$(mktemp -d)"
@@ -70,6 +71,8 @@ CLI=target/release/leaksig-cli
 "$CLI" generate --capture "$ANALYZE_DIR/cap2.lsc" --device "$ANALYZE_DIR/dev2.txt" --out "$ANALYZE_DIR/gen2.txt" --n 120
 "$CLI" analyze --sigs "$ANALYZE_DIR/gen1.txt"
 "$CLI" analyze --sigs "$ANALYZE_DIR/gen2.txt"
+"$CLI" lint --sigs "$ANALYZE_DIR/gen1.txt"
+"$CLI" lint --sigs "$ANALYZE_DIR/gen2.txt"
 "$CLI" analyze --diff "$ANALYZE_DIR/gen1.txt" --new "$ANALYZE_DIR/gen2.txt"
 
 echo "==> bench smoke"
